@@ -17,7 +17,6 @@ distribution) and J the outcome within its head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import And, Formula, Implies, Lit, Not, Or, PecError
 from .syntax import DomainDescription
@@ -86,6 +85,7 @@ def to_dnf(phi: Formula) -> list[list[tuple[Lit, bool]]]:
     return disjuncts
 
 
+# Kept recursive: polarity flows down; a fold would build both polarities' DNF.
 def _expand(phi, positive: bool) -> list[list[tuple[Lit, bool]]]:
     if isinstance(phi, Lit):
         return [[(phi, positive)]]
@@ -125,10 +125,6 @@ def _dedupe(conj):
 # Domain-dependent clauses
 
 
-def _prob(value: Fraction) -> str:
-    return str(value)
-
-
 def translate(dd: DomainDescription) -> AspProgram:
     """Domain-dependent clauses: sorts, value declarations, the initial
     distribution, one outcome clause group per causal rule outcome, and
@@ -153,7 +149,7 @@ def translate(dd: DomainDescription) -> AspProgram:
         for subject, value in outcome.effect.items():
             clauses.append(
                 f"belongsTo(({names[subject]},{names[value]}), {oid}).")
-        clauses.append(f"initialCondition(({oid}, {_prob(outcome.weight)})).")
+        clauses.append(f"initialCondition(({oid}, {outcome.weight})).")
 
     for n, c in enumerate(dd.cprops, start=1):
         body = _body_text(c.body, names)
@@ -164,12 +160,12 @@ def translate(dd: DomainDescription) -> AspProgram:
                     f"belongsTo(({names[subject]},{names[value]}), {oid}).")
             if body is not None:
                 clauses.append(
-                    f"causesOutcome(({oid}, {_prob(outcome.weight)}), I)"
+                    f"causesOutcome(({oid}, {outcome.weight}), I)"
                     f" :- {body}.")
 
     for p in dd.pprops:
         clauses.append(
-            f"performed({names[p.action]},{p.instant},{_prob(p.prob)}).")
+            f"performed({names[p.action]},{p.instant},{p.prob}).")
 
     return AspProgram(tuple(clauses))
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .aspgen import TranslationError, emit
@@ -31,24 +29,11 @@ from .syntax import (
     PecSyntaxError,
     parse_domain,
     parse_query,
-    validate,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SEMANTIC = 2
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """An exact probability plus its rendering at the chosen precision."""
-
-    exact: Fraction
-    decimal: str
-
-    @classmethod
-    def of(cls, value: Fraction, digits: int) -> "QueryResult":
-        return cls(value, format_decimal(value, digits))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -59,27 +44,34 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _usage_error(args, message: str):
+    print(f"pec {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _digits(args) -> int:
     digits = args.precision
     if digits is None:
-        digits = int(os.environ.get("PEC_PRECISION", "6"))
+        setting = os.environ.get("PEC_PRECISION", "6")
+        try:
+            digits = int(setting)
+        except ValueError:
+            _usage_error(args, f"PEC_PRECISION must be an integer, not {setting!r}")
     if digits < 0:
-        print(f"pec {args.command}: error: precision must be non-negative",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(args, "precision must be non-negative")
     return digits
 
 
 def _load(path: str):
-    return parse_domain(Path(path).read_text())
+    return parse_domain(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_check(args) -> int:
-    report = validate(Path(args.file).read_text())
-    if not report.ok():
-        print(report)
+    try:
+        dd = _load(args.file)
+    except DomainValidationError as exc:
+        print(exc.report)
         return EXIT_SEMANTIC
-    dd = parse_domain(Path(args.file).read_text())
     sig = dd.signature
     values = sum(len(v) for v in sig.vals.values())
     print(f"{args.file}: valid domain description")
@@ -98,8 +90,8 @@ def cmd_query(args) -> int:
         value = conditional(dd, phi, psi)
     else:
         value = marginal(dd, phi)
-    result = QueryResult.of(value, _digits(args))
-    print(result.exact if args.exact else result.decimal)
+    digits = _digits(args)
+    print(value if args.exact else format_decimal(value, digits))
     return EXIT_OK
 
 
@@ -181,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="transition graph in DOT form")
     p.add_argument("file")
-    p.add_argument("--format", choices=["dot"], default="dot")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("sample", help="empirical query frequency")
@@ -198,10 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PecSyntaxError as exc:
-        print(f"pec {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head -1`): not a failure;
+        # point stdout at devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except DomainValidationError as exc:
         print(f"pec {args.command}: invalid domain", file=sys.stderr)
         print(exc.report, file=sys.stderr)
@@ -209,10 +206,10 @@ def main(argv=None) -> int:
     except (ConditionZero, ConcurrentActivation, TranslationError) as exc:
         print(f"pec {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except OSError as exc:
+    except (PecSyntaxError, OSError) as exc:
         print(f"pec {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    except UnicodeDecodeError as exc:
+        print(f"pec {args.command}: error: {args.file}: not UTF-8 text "
+              f"({exc.reason} at offset {exc.start})", file=sys.stderr)
+        return EXIT_USAGE

@@ -174,6 +174,35 @@ class Implies:
 Formula = Union[Lit, Not, And, Or, Implies]
 IFormula = Union[ILit, Not, And, Or, Implies]
 
+
+def fold(phi, leaf: Callable, ops: Mapping[type, Callable]):
+    """Post-order fold of a formula tree, without recursion.
+
+    ``leaf`` maps each literal, left to right; ``ops`` maps ``Not`` to a
+    one-argument combiner and ``And``/``Or``/``Implies`` to two-argument
+    ones, applied to the folded values of the children.
+    """
+    stack, values = [(phi, False)], []
+    while stack:
+        node, ready = stack.pop()
+        kind = type(node)
+        if kind is Not:
+            if ready:
+                values[-1] = ops[Not](values[-1])
+            else:
+                stack += ((node, True), (node.arg, False))
+        elif kind in (And, Or, Implies):
+            if ready:
+                right = values.pop()
+                values[-1] = ops[kind](values[-1], right)
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+# Kept recursive: it short-circuits, and beats a fold on the enumeration hot path.
 def _eval(phi, leaf: Callable) -> bool:
     if isinstance(phi, Not):
         return not _eval(phi.arg, leaf)
@@ -186,21 +215,20 @@ def _eval(phi, leaf: Callable) -> bool:
     return leaf(phi)
 
 
+_CONSTRUCTORS = {Not: Not, And: And, Or: Or, Implies: Implies}
+_NO_VALUE = dict.fromkeys(_CONSTRUCTORS, lambda *args: None)
+
+
 def _leaves(phi) -> list:
     """Leaf literals of a formula tree, left to right, duplicates kept."""
-    if isinstance(phi, Not):
-        return _leaves(phi.arg)
-    if isinstance(phi, (And, Or, Implies)):
-        return _leaves(phi.left) + _leaves(phi.right)
-    return [phi]
+    found: list = []
+    fold(phi, found.append, _NO_VALUE)
+    return found
 
 
 def literals_of(phi: Formula) -> list[Lit]:
     """Distinct literals mentioned by a formula, in first-seen order."""
-    seen: dict[Lit, None] = {}
-    for leaf in _leaves(phi):
-        seen.setdefault(leaf, None)
-    return list(seen)
+    return list(dict.fromkeys(_leaves(phi)))
 
 
 def instants_of(phi: IFormula) -> set[int]:
@@ -209,15 +237,8 @@ def instants_of(phi: IFormula) -> set[int]:
 
 def at_instant(theta: Formula, instant: int) -> IFormula:
     """Stamp every literal of ``theta`` with ``instant`` (the [theta]@I form)."""
-    if isinstance(theta, Lit):
-        return ILit(theta.subject, theta.value, instant)
-    if isinstance(theta, Not):
-        return Not(at_instant(theta.arg, instant))
-    if isinstance(theta, (And, Or, Implies)):
-        return type(theta)(
-            at_instant(theta.left, instant), at_instant(theta.right, instant)
-        )
-    raise TypeError(f"not a formula node: {theta!r}")
+    return fold(theta, lambda lit: ILit(lit.subject, lit.value, instant),
+                _CONSTRUCTORS)
 
 
 def eval_formula(state: Mapping[str, str], phi: Formula) -> bool:
@@ -259,20 +280,32 @@ def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
     return _eval(phi, leaf)
 
 
+_BLOCK_BITS = 16  # truth-table rows per block: 2**16, so masks stay 8 KiB
+
+
 def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
     """Propositional entailment with literals taken as atoms.
 
     Value exclusivity is deliberately not assumed: ``F=V`` and ``F=V'``
     are independent propositions here, so e.g. their conjunction is
-    satisfiable.  Decided by brute force over the mentioned literals.
+    satisfiable.  Decided over the truth table of the mentioned
+    literals: each formula folds to the bitmask of the rows it holds
+    in, a block of rows at a time.
     """
-    atoms = literals_of(theta)
-    for lit in literals_of(theta_prime):
-        if lit not in atoms:
-            atoms.append(lit)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        row = dict(zip(atoms, bits))
-        if _eval(theta, row.__getitem__) and not _eval(theta_prime, row.__getitem__):
+    atoms = list(dict.fromkeys(_leaves(theta) + _leaves(theta_prime)))
+    width = min(len(atoms), _BLOCK_BITS)
+    full = (1 << (1 << width)) - 1
+    # row r of a block gives atom k < width the value of bit k of r
+    in_block = [full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+                for k in range(width)]
+    ops = {Not: lambda a: full ^ a, And: int.__and__, Or: int.__or__,
+           Implies: lambda a, b: (full ^ a) | b}
+    for block in range(1 << (len(atoms) - width)):
+        # atoms past the block width are constant within a block
+        masks = in_block + [full if block >> k & 1 else 0
+                            for k in range(len(atoms) - width)]
+        row = dict(zip(atoms, masks))
+        if fold(theta, row.__getitem__, ops) & ~fold(theta_prime, row.__getitem__, ops):
             return False
     return True
 

@@ -180,24 +180,21 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
 def _simulate(dd, action_rows, first):
     """Yield (states, chosen outcomes) for every effect-choice branch."""
     sig = dd.signature
-    last = sig.maxinst
-
-    def go(states, i, chosen):
-        if i == last:
-            yield tuple(states), tuple(chosen)
-            return
-        current = states[-1]
-        c = activated_cprop(dd, current, instant=i)
-        fluents = sig.fluent_part(current)
+    stack = [((first,), ())]
+    while stack:
+        states, chosen = stack.pop()
+        i = len(states) - 1
+        if i == sig.maxinst:
+            yield states, chosen
+            continue
+        c = activated_cprop(dd, states[-1], instant=i)
+        fluents = sig.fluent_part(states[-1])
         if c is None:
-            nxt = {**fluents, **action_rows[i + 1]}
-            yield from go(states + [nxt], i + 1, chosen)
-        else:
-            for o in c.head:
-                nxt = {**update(fluents, o.effect), **action_rows[i + 1]}
-                yield from go(states + [nxt], i + 1, chosen + [(i, o)])
-
-    yield from go([first], 0, [])
+            stack.append((states + ({**fluents, **action_rows[i + 1]},), chosen))
+            continue
+        for o in reversed(c.head):
+            nxt = {**update(fluents, o.effect), **action_rows[i + 1]}
+            stack.append((states + (nxt,), chosen + ((i, o),)))
 
 
 # ---------------------------------------------------------------------------

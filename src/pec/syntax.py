@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable, Mapping
 
 from .core import (
     And,
@@ -44,6 +44,7 @@ from .core import (
     TRUE,
     FALSE,
     at_instant,
+    fold,
     herbrand_entails,
 )
 
@@ -141,10 +142,6 @@ class DomainDescription:
     pprops: tuple[PProp, ...]
     iprop: IProp
 
-    def narrative(self) -> tuple[PProp, ...]:
-        """All action occurrence statements, in declaration order."""
-        return self.pprops
-
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -158,8 +155,7 @@ _TOKEN_RE = re.compile(
     | (?P<id>[A-Za-z][A-Za-z0-9_]*)
     | (?P<dec>\d+\.\d+)
     | (?P<nat>\d+)
-    | (?P<arrow>->)
-    | (?P<punct>[{}(),=!&|@\[\]/])
+    | (?P<punct>->|[{}(),=!&|@\[\]/])
     """,
     re.VERBOSE,
 )
@@ -182,9 +178,7 @@ def _lex(text: str) -> list[_Token]:
             raise PecSyntaxError(f"unexpected character {text[pos]!r}", line, col)
         group = m.lastgroup
         chunk = m.group()
-        if group == "kw":
-            tokens.append(_Token(chunk, chunk, line, col))
-        elif group in ("arrow", "punct"):
+        if group in ("kw", "punct"):
             tokens.append(_Token(chunk, chunk, line, col))
         elif group in ("id", "nat", "dec"):
             tokens.append(_Token(group, chunk, line, col))
@@ -209,7 +203,6 @@ class _RawOutcome:
     literals: list[tuple[str, str, tuple[int, int]]]  # subject, value, loc
     weight: Fraction
     loc: tuple[int, int]
-    implicit: bool = False
 
     def effect(self) -> dict[str, str]:
         return {s: v for s, v, _ in self.literals}
@@ -225,7 +218,7 @@ class _RawStatement:
     number: int = 0
     outcomes: list[_RawOutcome] = field(default_factory=list)
     body: Formula | None = None
-    body_lits: list[tuple[Lit, tuple[int, int]]] = field(default_factory=list)
+    body_lits: list[tuple[str, str, tuple[int, int]]] = field(default_factory=list)
     action: str = ""
     instant: int = 0
     prob: Fraction = Fraction(1)
@@ -249,10 +242,8 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            want = what or f"{kind!r}"
-            found = tok.text or "end of input"
-            self.error(f"expected {want}, found {found!r}" if tok.text
-                       else f"expected {want}, found end of input", tok)
+            found = repr(tok.text) if tok.text else "end of input"
+            self.error(f"expected {what or repr(kind)}, found {found}", tok)
         return self.advance()
 
     def error(self, message: str, tok: _Token | None = None):
@@ -281,7 +272,8 @@ class _Parser:
             return _RawStatement("maxinst", (tok.line, tok.col), number=int(n.text))
         if tok.kind == "initially-one-of":
             self.advance()
-            return _RawStatement("i", (tok.line, tok.col), outcomes=self._outcomes())
+            return _RawStatement("i", (tok.line, tok.col),
+                                 outcomes=self._braced(self._outcome))
         if tok.kind == "id" and self.peek(1).kind == "performed-at":
             return self._pprop()
         return self._cprop()
@@ -290,12 +282,7 @@ class _Parser:
         tok = self.advance()  # "fluent"
         name = self.expect("id", "a fluent name")
         self.expect("takes-values")
-        self.expect("{")
-        values = [self.expect("id", "a value name").text]
-        while self.peek().kind == ",":
-            self.advance()
-            values.append(self.expect("id", "a value name").text)
-        self.expect("}")
+        values = self._braced(lambda: self.expect("id", "a value name").text)
         return _RawStatement("v", (tok.line, tok.col), fluent=name.text, values=values)
 
     def _pprop(self) -> _RawStatement:
@@ -311,49 +298,40 @@ class _Parser:
 
     def _cprop(self) -> _RawStatement:
         tok = self.peek()
-        lits: list[tuple[Lit, tuple[int, int]]] = []
-        body = self._formula(lits)
+        lits: list[tuple[str, str, tuple[int, int]]] = []
+        body = self._formula(lambda: self._body_atom(lits), _BODY_OPERAND)
         self.expect("causes-one-of")
-        outcomes = self._outcomes()
-        stmt = _RawStatement("c", (tok.line, tok.col), body=body, outcomes=outcomes)
-        stmt.body_lits = lits
-        self._complete_head(stmt)
-        return stmt
-
-    @staticmethod
-    def _complete_head(stmt: _RawStatement) -> None:
+        outcomes = self._braced(self._outcome)
         # Implicit empty outcome: only when weights fall short of 1 and no
         # explicit empty effect is present.
-        total = sum((o.weight for o in stmt.outcomes), Fraction(0))
-        if total < 1 and all(o.literals for o in stmt.outcomes):
-            stmt.outcomes.append(
-                _RawOutcome([], 1 - total, stmt.loc, implicit=True))
+        total = sum((o.weight for o in outcomes), Fraction(0))
+        if total < 1 and all(o.literals for o in outcomes):
+            outcomes.append(_RawOutcome([], 1 - total, (tok.line, tok.col)))
+        return _RawStatement("c", (tok.line, tok.col), body=body,
+                             outcomes=outcomes, body_lits=lits)
 
-    def _outcomes(self) -> list[_RawOutcome]:
+    def _braced(self, item, empty_ok: bool = False) -> list:
+        """``{item, item, ...}``, or ``{}`` when ``empty_ok``."""
         self.expect("{")
-        outcomes = [self._outcome()]
-        while self.peek().kind == ",":
-            self.advance()
-            outcomes.append(self._outcome())
+        items = []
+        if not (empty_ok and self.peek().kind == "}"):
+            items.append(item())
+            while self.peek().kind == ",":
+                self.advance()
+                items.append(item())
         self.expect("}")
-        return outcomes
+        return items
 
     def _outcome(self) -> _RawOutcome:
         start = self.expect("(")
-        self.expect("{")
-        literals = []
-        if self.peek().kind != "}":
-            literals.append(self._effect_literal())
-            while self.peek().kind == ",":
-                self.advance()
-                literals.append(self._effect_literal())
-        self.expect("}")
+        literals = self._braced(self._literal, empty_ok=True)
         self.expect(",")
         weight = self._prob()
         self.expect(")")
         return _RawOutcome(literals, weight, (start.line, start.col))
 
-    def _effect_literal(self) -> tuple[str, str, tuple[int, int]]:
+    def _literal(self) -> tuple[str, str, tuple[int, int]]:
+        """``X=V``, or ``X`` / ``!X`` for ``X=true`` / ``X=false``."""
         if self.peek().kind == "!":
             self.advance()
             name = self.expect("id", "a fluent name")
@@ -384,128 +362,88 @@ class _Parser:
     # -- formulas -----------------------------------------------------------
     # Precedence, loosest first: ->  |  &  !  atom.  -> is right-associative.
 
-    def _formula(self, lits) -> Formula:
-        left = self._or(lits)
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self._formula(lits))
-        return left
+    def _formula(self, atom, expected: str) -> Formula | IFormula:
+        """Operator-precedence parse of one formula, with explicit stacks.
 
-    def _or(self, lits) -> Formula:
-        left = self._and(lits)
-        while self.peek().kind == "|":
-            self.advance()
-            left = Or(left, self._and(lits))
-        return left
+        ``atom()`` parses the literal at the current token, or returns
+        None when there is none; ``expected`` names what may start an
+        operand, for the error when neither a literal nor '!' / '('
+        does.
+        """
+        operands: list = []
+        pending: list[str] = []  # "(", "!" and binary operators
+        while True:
+            leaf = atom()
+            if leaf is None:
+                if self.peek().kind not in ("!", "("):
+                    self.error(f"expected {expected}")
+                pending.append(self.advance().kind)
+                continue
+            operands.append(leaf)
+            while True:
+                kind = self.peek().kind
+                # A binary operator completes the pending ones that bind at
+                # least as tightly (an earlier '->' stays: it is
+                # right-associative); any other token completes them all,
+                # back to the innermost '('.
+                prec = _OPS[kind][0] + (kind == "->") if kind in _BINARY else 0
+                while pending and pending[-1] != "(" and _OPS[pending[-1]][0] >= prec:
+                    op, right = pending.pop(), operands.pop()
+                    operands.append(Not(right) if op == "!"
+                                    else _OPS[op][1](operands.pop(), right))
+                if prec:
+                    pending.append(self.advance().kind)
+                    break
+                if not pending:
+                    return operands[0]
+                self.expect(")")
+                pending.pop()
 
-    def _and(self, lits) -> Formula:
-        left = self._unary(lits)
-        while self.peek().kind == "&":
-            self.advance()
-            left = And(left, self._unary(lits))
-        return left
-
-    def _unary(self, lits) -> Formula:
+    def _body_atom(self, lits) -> Formula | None:
         tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "id" and self.peek(1).kind != "=":
-                self.advance()
-                lit = Lit(nxt.text, FALSE)
-                lits.append((lit, (nxt.line, nxt.col)))
-                return lit
-            return Not(self._unary(lits))
-        return self._atom(lits)
+        if tok.kind == "id" or (tok.kind == "!" and self.peek(1).kind == "id"
+                                and self.peek(2).kind != "="):
+            subject, value, loc = self._literal()
+            lits.append((subject, value, loc))
+            return Lit(subject, value)
+        return None
 
-    def _atom(self, lits) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
+    def _stamped_atom(self, lits) -> IFormula | None:
+        if self.peek().kind == "[":
             self.advance()
-            inner = self._formula(lits)
-            self.expect(")")
-            return inner
-        if tok.kind == "id":
-            self.advance()
-            if self.peek().kind == "=":
-                self.advance()
-                value = self.expect("id", "a value name")
-                lit = Lit(tok.text, value.text)
-            else:
-                lit = Lit(tok.text, TRUE)
-            lits.append((lit, (tok.line, tok.col)))
-            return lit
-        self.error("expected a literal or '('")
-
-    # -- queries ------------------------------------------------------------
-
-    def parse_iformula(self) -> tuple[IFormula, list[tuple[Lit, int, tuple[int, int]]]]:
-        lits: list[tuple[Lit, int, tuple[int, int]]] = []
-        phi = self._iimplies(lits)
-        return phi, lits
-
-    def _iimplies(self, lits) -> IFormula:
-        left = self._ior(lits)
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self._iimplies(lits))
-        return left
-
-    def _ior(self, lits) -> IFormula:
-        left = self._iand(lits)
-        while self.peek().kind == "|":
-            self.advance()
-            left = Or(left, self._iand(lits))
-        return left
-
-    def _iand(self, lits) -> IFormula:
-        left = self._iunary(lits)
-        while self.peek().kind == "&":
-            self.advance()
-            left = And(left, self._iunary(lits))
-        return left
-
-    def _iunary(self, lits) -> IFormula:
-        if self.peek().kind == "!":
-            self.advance()
-            return Not(self._iunary(lits))
-        return self._iatom(lits)
-
-    def _iatom(self, lits) -> IFormula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            inner = self._iimplies(lits)
-            self.expect(")")
-            return inner
-        if tok.kind == "[":
-            self.advance()
-            inner_lits: list[tuple[Lit, tuple[int, int]]] = []
-            theta = self._formula(inner_lits)
+            inner_lits: list[tuple[str, str, tuple[int, int]]] = []
+            theta = self._formula(lambda: self._body_atom(inner_lits), _BODY_OPERAND)
             self.expect("]")
             self.expect("@")
-            nat = self.expect("nat", "an instant")
-            instant = int(nat.text)
-            lits.extend((lit, instant, loc) for lit, loc in inner_lits)
+            instant = int(self.expect("nat", "an instant").text)
+            lits.extend((*lit, instant) for lit in inner_lits)
             return at_instant(theta, instant)
-        self.error("expected '[' or '('")
+        return None
+
+
+_OPS = {"->": (1, Implies), "|": (2, Or), "&": (3, And), "!": (4, Not)}
+_BINARY = ("->", "|", "&")
+_BODY_OPERAND = "a literal or '('"
 
 
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def _check_effect_literals(raw: _RawOutcome, sig_vals: dict[str, list[str]],
-                           actions: set[str], issues: list[Issue]) -> None:
-    for subject, value, (line, col) in raw.literals:
-        if subject in actions:
-            issues.append(Issue(f"{subject} is an action, not a fluent; "
-                                "effects may only mention fluents", line, col))
-        elif subject not in sig_vals:
-            issues.append(Issue(f"unknown symbol {subject}", line, col))
-        elif value not in sig_vals[subject]:
-            issues.append(Issue(
-                f"{value} is not a possible value of {subject}", line, col))
+def _literal_problem(subject: str, value: str, vals: Mapping[str, Container[str]],
+                     actions: Container[str], effect: bool = False) -> str | None:
+    """Why ``subject=value`` does not fit the declarations, or None."""
+    if subject in actions:
+        if effect:
+            return (f"{subject} is an action, not a fluent; "
+                    "effects may only mention fluents")
+        if value not in (TRUE, FALSE):
+            return f"{value} is not a possible value of action {subject}"
+    elif subject not in vals:
+        return f"unknown symbol {subject}"
+    elif value not in vals[subject]:
+        return f"{value} is not a possible value of {subject}"
+    return None
 
 
 def _validate_statements(stmts: list[_RawStatement]) -> ValidationReport:
@@ -544,19 +482,11 @@ def _validate_statements(stmts: list[_RawStatement]) -> ValidationReport:
     if not sig_vals:
         issues.append(Issue("at least one fluent must be declared", 1, 1))
 
-    def check_formula_lits(lits):
-        for lit, (line, col) in lits:
-            if lit.subject in actions:
-                if lit.value not in (TRUE, FALSE):
-                    issues.append(Issue(
-                        f"{lit.value} is not a possible value of action "
-                        f"{lit.subject}", line, col))
-            elif lit.subject not in sig_vals:
-                issues.append(Issue(f"unknown symbol {lit.subject}", line, col))
-            elif lit.value not in sig_vals[lit.subject]:
-                issues.append(Issue(
-                    f"{lit.value} is not a possible value of {lit.subject}",
-                    line, col))
+    def check_literals(lits, effect=False):
+        for subject, value, (line, col) in lits:
+            problem = _literal_problem(subject, value, sig_vals, actions, effect)
+            if problem:
+                issues.append(Issue(problem, line, col))
 
     def check_weights(raw_outcomes, loc, what):
         for o in raw_outcomes:
@@ -581,7 +511,7 @@ def _validate_statements(stmts: list[_RawStatement]) -> ValidationReport:
                             condition="(ii)"))
     for s in iprops:
         for o in s.outcomes:
-            _check_effect_literals(o, sig_vals, actions, issues)
+            check_literals(o.literals, effect=True)
             missing = sorted(set(sig_vals) - set(o.effect()))
             if missing:
                 issues.append(Issue(
@@ -591,9 +521,9 @@ def _validate_statements(stmts: list[_RawStatement]) -> ValidationReport:
 
     cprops = [s for s in stmts if s.kind == "c"]
     for s in cprops:
-        check_formula_lits(s.body_lits)
+        check_literals(s.body_lits)
         for o in s.outcomes:
-            _check_effect_literals(o, sig_vals, actions, issues)
+            check_literals(o.literals, effect=True)
         check_weights(s.outcomes, s.loc, "causes-one-of")
         if not any(herbrand_entails(s.body, Lit(a, TRUE)) for a in actions):
             issues.append(Issue(
@@ -688,17 +618,16 @@ def validate(text: str) -> ValidationReport:
 def parse_query(text: str, signature: DomainSignature) -> IFormula:
     """Parse an instant-stamped query formula against a signature."""
     parser = _Parser(text)
-    phi, lits = parser.parse_iformula()
+    lits: list[tuple[str, str, tuple[int, int], int]] = []
+    phi = parser._formula(lambda: parser._stamped_atom(lits), "'[' or '('")
     trailing = parser.peek()
     if trailing.kind != "eof":
         parser.error(f"unexpected input after query: {trailing.text!r}", trailing)
-    for lit, instant, (line, col) in lits:
-        if lit.subject not in signature.symbols:
-            raise PecSyntaxError(f"unknown symbol {lit.subject}", line, col)
-        if lit.value not in signature.values_of(lit.subject):
-            raise PecSyntaxError(
-                f"{lit.value} is not a possible value of {lit.subject}",
-                line, col)
+    for subject, value, (line, col), instant in lits:
+        problem = _literal_problem(subject, value, signature.vals,
+                                   signature.actions)
+        if problem:
+            raise PecSyntaxError(problem, line, col)
         if instant > signature.maxinst:
             raise PecSyntaxError(
                 f"instant {instant} beyond maxinst {signature.maxinst}",
@@ -709,36 +638,7 @@ def parse_query(text: str, signature: DomainSignature) -> IFormula:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3}
-
-
-def format_formula(phi: Formula) -> str:
-    """Deterministic concrete syntax for a formula; reparses to itself."""
-    return _fmt(phi, 0)
-
-
-def _fmt(phi: Formula, parent_prec: int) -> str:
-    if isinstance(phi, Lit):
-        if phi.value == TRUE:
-            return phi.subject
-        if phi.value == FALSE:
-            return f"!{phi.subject}"
-        return f"{phi.subject}={phi.value}"
-    if isinstance(phi, Not):
-        if isinstance(phi.arg, Lit):
-            # never abbreviate here: !X would reparse as X=false
-            return f"!{phi.arg.subject}={phi.arg.value}"
-        return f"!({_fmt(phi.arg, 0)})"
-    op, symbol = type(phi), {Implies: "->", Or: "|", And: "&"}[type(phi)]
-    prec = _PRECEDENCE[op]
-    if op is Implies:  # right-associative
-        text = f"{_fmt(phi.left, prec + 1)} {symbol} {_fmt(phi.right, prec)}"
-    else:  # left-associative chains
-        text = f"{_fmt(phi.left, prec)} {symbol} {_fmt(phi.right, prec + 1)}"
-    return f"({text})" if prec < parent_prec else text
-
-
-def _fmt_effect_literal(subject: str, value: str) -> str:
+def _literal_text(subject: str, value: str) -> str:
     if value == TRUE:
         return subject
     if value == FALSE:
@@ -746,10 +646,39 @@ def _fmt_effect_literal(subject: str, value: str) -> str:
     return f"{subject}={value}"
 
 
+def _joiner(symbol: str, prec: int, right_assoc: bool = False):
+    """Combiner for a binary connective over (text, precedence, _) values;
+    an operand binding more loosely than its side allows gets parentheses."""
+    def join(left, right):
+        lt, lp, _ = left
+        rt, rp, _ = right
+        if lp < prec + right_assoc:
+            lt = f"({lt})"
+        if rp < prec + (not right_assoc):
+            rt = f"({rt})"
+        return f"{lt} {symbol} {rt}", prec, None
+    return join
+
+
+_FORMAT_OPS = {
+    # never abbreviate under '!': !X would reparse as X=false
+    Not: lambda arg: ("!" + (arg[2] or f"({arg[0]})"), 4, None),
+    And: _joiner("&", 3),
+    Or: _joiner("|", 2),
+    Implies: _joiner("->", 1, right_assoc=True),
+}
+
+
+def format_formula(phi: Formula) -> str:
+    """Deterministic concrete syntax for a formula; reparses to itself."""
+    return fold(phi, lambda lit: (_literal_text(lit.subject, lit.value), 4,
+                                  f"{lit.subject}={lit.value}"), _FORMAT_OPS)[0]
+
+
 def _fmt_outcomes(head: Iterable[Outcome]) -> str:
     parts = []
     for o in head:
-        lits = ", ".join(_fmt_effect_literal(s, v) for s, v in o.effect.items())
+        lits = ", ".join(_literal_text(s, v) for s, v in o.effect.items())
         parts.append(f"({{{lits}}}, {o.weight})")
     return "{" + ", ".join(parts) + "}"
 

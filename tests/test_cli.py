@@ -1,9 +1,13 @@
 """End-to-end command line behaviour, including exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from pec.cli import main
-from conftest import EXAMPLES, GOLDEN
+from conftest import EXAMPLES, GOLDEN, ROOT
 
 COIN = str(EXAMPLES / "coin.pec")
 ANTIBIOTIC = str(EXAMPLES / "antibiotic.pec")
@@ -14,6 +18,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, **kwargs):
+    """``python -m pec ARGV`` in a child process, importing this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pec", *argv], timeout=60,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 class TestCheck:
@@ -51,6 +63,19 @@ class TestCheck:
         assert code == 1
         assert "line" in err
 
+    def test_invalid_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.pec"
+        bad.write_bytes(b"maxinst 3\n% caf\xe9\n")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1
+        assert err.startswith("pec check: error: ") and str(bad) in err
+
+    def test_python_m_pec(self):
+        child = run_module("check", str(EXAMPLES / "coin.pec"),
+                           capture_output=True)
+        assert child.returncode == 0
+        assert b"valid domain description" in child.stdout
+
 
 class TestQuery:
     def test_decimal_default_precision(self, capsys):
@@ -83,6 +108,14 @@ class TestQuery:
         monkeypatch.setenv("PEC_PRECISION", "2")
         code, out, _ = run(capsys, "query", COIN, "-q", "[Coin=Heads]@2")
         assert (code, out.strip()) == (0, "0.51")
+
+    def test_precision_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PEC_PRECISION", "abc")
+        with pytest.raises(SystemExit) as err:
+            main(["query", COIN, "-q", "[Coin=Heads]@2"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith(
+            "pec query: error: PEC_PRECISION must be an integer")
 
     def test_negative_precision(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -151,6 +184,18 @@ class TestGraph:
         _, first, _ = run(capsys, "graph", ANTIBIOTIC)
         _, second, _ = run(capsys, "graph", ANTIBIOTIC)
         assert first == second
+
+    def test_reader_closes_early(self):
+        # as in `pec graph ... | head -1`: a closed stdout is not a failure
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = run_module("graph", ANTIBIOTIC, stdout=write_end,
+                               stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 0
+        assert child.stderr == b""
 
     def test_concurrent_activation_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "clash.pec"

@@ -1,6 +1,7 @@
 """Core algebra: state update, evaluation, satisfaction, entailment."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,18 @@ class TestHerbrandEntails:
             assert ab == table_entails(a, b)
             if ab and bc:
                 assert ac
+
+    def test_twenty_literal_conjunction(self):
+        # 2**20 truth-table rows, decided a block of rows at a time
+        lits = [Lit(f"X{i}", TRUE) for i in range(20)]
+        chain = lits[0]
+        for lit in lits[1:]:
+            chain = And(chain, lit)
+        start = time.perf_counter()
+        assert herbrand_entails(chain, lits[-1])
+        assert not herbrand_entails(lits[-1], chain)
+        assert not herbrand_entails(chain, Lit("Y", TRUE))
+        assert time.perf_counter() - start < 1
 
 
 class TestOutcomes:

@@ -150,6 +150,16 @@ class TestEnumerate:
                                for i in range(1, dd.signature.maxinst + 1))
         assert quiet_worlds > 0
 
+    def test_long_window(self):
+        # one simulation step per instant, without recursion
+        dd = parse_domain(
+            "maxinst 1500\nfluent F takes-values {a, b}\naction A\n"
+            "initially-one-of {({F=a}, 1)}\n"
+            "A causes-one-of {({F=b}, 1/2)}\nA performed-at 1\n")
+        worlds = enumerate_worlds(dd)
+        assert sorted(w.weight for w in worlds) == [Fraction(1, 2)] * 2
+        assert all(len(w.world.states) == 1501 for w in worlds)
+
     def test_deterministic_order(self, antibiotic):
         first = enumerate_worlds(antibiotic)
         second = enumerate_worlds(antibiotic)

@@ -14,6 +14,8 @@ from pec import (
     Lit,
     PecSyntaxError,
     TRUE,
+    format_formula,
+    marginal,
     parse_domain,
     parse_query,
     render,
@@ -241,6 +243,20 @@ class TestParseQuery:
             parse_query(text, coin.signature)
         assert fragment in str(err.value)
 
+    def test_action_value_names_the_action(self, coin):
+        with pytest.raises(PecSyntaxError) as err:
+            parse_query("[Toss=maybe]@1", coin.signature)
+        assert "maybe is not a possible value of action Toss" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 600 + "[Coin=Heads]@2" + ")" * 600,
+        "[" + "(" * 600 + "Coin=Heads" + ")" * 600 + "]@2",
+    ], ids=["around-stamp", "inside-stamp"])
+    def test_deep_parentheses(self, coin, text):
+        # parsed without recursion, at the default recursion limit
+        phi = parse_query(text, coin.signature)
+        assert marginal(coin, phi) == Fraction(51, 100)
+
 
 class TestRender:
     def test_round_trip_shipped(self, coin, antibiotic, keys):
@@ -282,3 +298,10 @@ class TestRender:
                     "causes-one-of {({F=b}, 1)}\n")
             parsed = parse_domain(text)
             assert parsed.cprops[0].body == And(Lit("A", TRUE), phi)
+
+    def test_formula_printer_long_chain(self):
+        lits = [Lit(f"X{i}", TRUE) for i in range(1400)]
+        chain = lits[0]
+        for lit in lits[1:]:
+            chain = And(chain, lit)
+        assert format_formula(chain) == " & ".join(f"X{i}" for i in range(1400))
