@@ -90,8 +90,7 @@ def cmd_query(args) -> int:
         value = conditional(dd, phi, psi)
     else:
         value = marginal(dd, phi)
-    digits = _digits(args)
-    print(value if args.exact else format_decimal(value, digits))
+    print(value if args.exact else format_decimal(value, _digits(args)))
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ Probabilities are exact ``fractions.Fraction`` values throughout.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -202,21 +203,10 @@ def fold(phi, leaf: Callable, ops: Mapping[type, Callable]):
     return values[0]
 
 
-# Kept recursive: it short-circuits, and beats a fold on the enumeration hot path.
-def _eval(phi, leaf: Callable) -> bool:
-    if isinstance(phi, Not):
-        return not _eval(phi.arg, leaf)
-    if isinstance(phi, And):
-        return _eval(phi.left, leaf) and _eval(phi.right, leaf)
-    if isinstance(phi, Or):
-        return _eval(phi.left, leaf) or _eval(phi.right, leaf)
-    if isinstance(phi, Implies):
-        return (not _eval(phi.left, leaf)) or _eval(phi.right, leaf)
-    return leaf(phi)
-
-
 _CONSTRUCTORS = {Not: Not, And: And, Or: Or, Implies: Implies}
 _NO_VALUE = dict.fromkeys(_CONSTRUCTORS, lambda *args: None)
+_TRUTH = {Not: operator.not_, And: operator.and_, Or: operator.or_,
+          Implies: lambda a, b: b or not a}
 
 
 def _leaves(phi) -> list:
@@ -241,6 +231,13 @@ def at_instant(theta: Formula, instant: int) -> IFormula:
                 _CONSTRUCTORS)
 
 
+def _holds(state: Mapping[str, str], subject: str, value: str) -> bool:
+    try:
+        return state[subject] == value
+    except KeyError:
+        raise SignatureError(f"state does not assign {subject!r}") from None
+
+
 def eval_formula(state: Mapping[str, str], phi: Formula) -> bool:
     """Evaluate ``phi`` under the total valuation a state induces.
 
@@ -248,14 +245,7 @@ def eval_formula(state: Mapping[str, str], phi: Formula) -> bool:
     particular ``not X=V`` is true whenever the state assigns ``X`` any
     other value.
     """
-
-    def leaf(lit: Lit) -> bool:
-        try:
-            return state[lit.subject] == lit.value
-        except KeyError:
-            raise SignatureError(f"state does not assign {lit.subject!r}") from None
-
-    return _eval(phi, leaf)
+    return fold(phi, lambda lit: _holds(state, lit.subject, lit.value), _TRUTH)
 
 
 def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
@@ -271,13 +261,9 @@ def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
             raise RangeError(
                 f"instant {il.instant} outside the window 0..{len(states) - 1}"
             )
-        state = states[il.instant]
-        try:
-            return state[il.subject] == il.value
-        except KeyError:
-            raise SignatureError(f"state does not assign {il.subject!r}") from None
+        return _holds(states[il.instant], il.subject, il.value)
 
-    return _eval(phi, leaf)
+    return fold(phi, leaf, _TRUTH)
 
 
 _BLOCK_BITS = 16  # truth-table rows per block: 2**16, so masks stay 8 KiB

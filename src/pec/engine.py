@@ -2,12 +2,14 @@
 
 The model of a domain assigns each well-behaved world a weight: the
 narrative evaluation of the world times the summed evaluations of its
-traces.  ``enumerate_worlds`` materialises that model exactly (weights
-are Fractions and sum to 1); ``check_world`` is an independent
-brute-force judge of the three well-behavedness conditions, used as an
-oracle against the enumerator; the remaining operations (marginals,
-conditionals, transition functions, restriction, sampling) are defined
-on top.
+traces.  Every decision of the form "which rule fires in this total
+state, and where can it go" is made once, by the compiled one-step
+table of ``_compile``: ``enumerate_worlds`` walks it to materialise the
+model exactly (weights are Fractions and sum to 1), the sampler draws
+from it, and ``tset``/``transition``/``transition_graph`` read it.
+``check_world`` stays an independent brute-force judge of the three
+well-behavedness conditions, used as an oracle against the enumerator;
+marginals, conditionals and restriction are defined on top.
 """
 
 from __future__ import annotations
@@ -140,35 +142,35 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     Branches over (a) occur/not-occur for every occurrence statement
     with probability below 1 (probability-1 occurrences are forced, all
     other action atoms false, per the closed world assumption), (b) the
-    initial choice, and (c) the activated rule's outcome at every
-    occurrence instant, simulating forward so the fluent state changes
-    only by chosen outcomes.  Leaves reaching the same world are grouped
-    into its trace set.  The returned weights always sum to exactly 1.
+    initial choice, and (c) the move of the compiled table at every
+    instant, walked depth first so the fluent state changes only by
+    chosen outcomes.  Leaves reaching the same world are grouped into
+    its trace set.  The returned weights always sum to exactly 1.
     """
     sig = dd.signature
-    uncertain = [p for p in dd.pprops if p.prob != 1]
-    forced = [(p.action, p.instant) for p in dd.pprops if p.prob == 1]
+    step = _compile(dd)
+    choices = [(True,) if p.prob == 1 else (True, False) for p in dd.pprops]
     groups: dict[tuple, list] = {}
 
-    for bits in itertools.product((True, False), repeat=len(uncertain)):
-        occurring = set(forced)
+    for bits in itertools.product(*choices):
         eps = Fraction(1)
-        for p, occurs in zip(uncertain, bits):
-            if occurs:
-                occurring.add((p.action, p.instant))
-                eps *= p.prob
-            else:
-                eps *= 1 - p.prob
-        action_rows = [
-            {a: (TRUE if (a, i) in occurring else FALSE) for a in sig.actions}
-            for i in sig.instants
-        ]
+        for p, occurs in zip(dd.pprops, bits):
+            eps *= p.prob if occurs else 1 - p.prob
+        rows = _action_rows(sig, {(p.action, p.instant)
+                                  for p, occurs in zip(dd.pprops, bits) if occurs})
         for ic in dd.iprop.head:
-            first = {**ic.effect, **action_rows[0]}
-            for states, chosen in _simulate(dd, action_rows, first):
-                world = FiniteWorld(sig, states)
-                entry = groups.setdefault(world.key(), [world, eps, []])
-                entry[2].append(Trace(ic, dict(chosen)))
+            stack = [(({**ic.effect, **rows[0]},), ())]
+            while stack:
+                states, chosen = stack.pop()
+                i = len(states) - 1
+                if i == sig.maxinst:
+                    world = FiniteWorld(sig, states)
+                    entry = groups.setdefault(world.key(), [world, eps, []])
+                    entry[2].append(Trace(ic, dict(chosen)))
+                    continue
+                for o, fluents, _ in reversed(step(states[-1], i)):
+                    stack.append((states + ({**fluents, **rows[i + 1]},),
+                                  chosen if o is None else chosen + ((i, o),)))
 
     result = []
     for world, eps, traces in groups.values():
@@ -177,24 +179,42 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     return result
 
 
-def _simulate(dd, action_rows, first):
-    """Yield (states, chosen outcomes) for every effect-choice branch."""
+def _action_rows(sig: DomainSignature, occurring) -> list[dict[str, str]]:
+    """Action part of the state at each instant: exactly the occurring
+    (action, instant) pairs are true, per the closed world assumption."""
+    return [{a: (TRUE if (a, i) in occurring else FALSE) for a in sig.actions}
+            for i in sig.instants]
+
+
+def _compile(dd: DomainDescription):
+    """The one-step table of a domain, filled in as states are reached.
+
+    ``step(state, instant)`` lists the moves out of a total state: one
+    ``(outcome, next fluent state, cumulative weight)`` per outcome of
+    the activated rule, in head order, or ``(None, same fluents, 1)``
+    when no rule fires.  Moves are memoised per state for the life of
+    the returned function; a clash raises ConcurrentActivation at each
+    reach and is never stored.
+    """
     sig = dd.signature
-    stack = [((first,), ())]
-    while stack:
-        states, chosen = stack.pop()
-        i = len(states) - 1
-        if i == sig.maxinst:
-            yield states, chosen
-            continue
-        c = activated_cprop(dd, states[-1], instant=i)
-        fluents = sig.fluent_part(states[-1])
-        if c is None:
-            stack.append((states + ({**fluents, **action_rows[i + 1]},), chosen))
-            continue
-        for o in reversed(c.head):
-            nxt = {**update(fluents, o.effect), **action_rows[i + 1]}
-            stack.append((states + (nxt,), chosen + ((i, o),)))
+    moves: dict[tuple, list] = {}
+
+    def step(state: Mapping[str, str], instant: int | None = None) -> list:
+        key = tuple(map(state.get, sig.symbols))
+        found = moves.get(key)
+        if found is None:
+            c = activated_cprop(dd, state, instant)
+            fluents = sig.fluent_part(state)
+            if c is None:
+                found = [(None, fluents, Fraction(1))]
+            else:
+                weights = itertools.accumulate(o.weight for o in c.head)
+                found = [(o, update(fluents, o.effect), w)
+                         for o, w in zip(c.head, weights)]
+            moves[key] = found
+        return found
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +328,8 @@ def tset(dd: DomainDescription, state: Mapping[str, str],
     With no activated rule the only transition is staying put, with the
     unit outcome; anything else is impossible.
     """
-    c = activated_cprop(dd, state)
-    fluents = dd.signature.fluent_part(state)
-    if c is not None:
-        return [o for o in c.head if update(fluents, o.effect) == dict(target)]
-    if fluents == dict(target):
-        return [Outcome({}, Fraction(1))]
-    return []
+    return [Outcome({}, Fraction(1)) if o is None else o
+            for o, fluents, _ in _compile(dd)(state) if fluents == target]
 
 
 def transition(dd: DomainDescription, state: Mapping[str, str],
@@ -337,20 +352,20 @@ def transition_graph(dd: DomainDescription) -> list[TransitionEdge]:
     def fkey(fl):
         return tuple(sorted(fl.items()))
 
+    step = _compile(dd)
     edges = []
     nodes = set()
     idle = []
     for state in sig.total_states():
         acts = tuple(a for a in sig.actions if state[a] == TRUE)
-        c = activated_cprop(dd, state)
+        moves = step(state)
         fluents = sig.fluent_part(state)
-        if c is None:
+        if moves[0][0] is None:
             if acts:
                 idle.append((fluents, acts))
             continue
         grouped: dict[tuple, list] = {}
-        for o in c.head:
-            tgt = update(fluents, o.effect)
+        for o, tgt, _ in moves:
             entry = grouped.setdefault(fkey(tgt), [tgt, Fraction(0)])
             entry[1] += o.weight
         for tgt, weight in grouped.values():
@@ -404,7 +419,7 @@ def indistinguishable_up_to(w: FiniteWorld, w2: FiniteWorld,
 
 def sample_world(dd: DomainDescription, seed: int) -> FiniteWorld:
     """Draw one world; well-behaved by construction, fixed per seed."""
-    return _sample(dd, random.Random(seed))
+    return _sampler(dd)(random.Random(seed))
 
 
 def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
@@ -414,40 +429,35 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
         raise ValueError("sample count must be positive")
     _check_window(dd, phi)
     rng = random.Random(seed)
+    draw = _sampler(dd)
     hits = 0
     for _ in range(count):
-        if _sample(dd, rng).satisfies(phi):
+        if draw(rng).satisfies(phi):
             hits += 1
     return Fraction(hits, count)
 
 
-def _sample(dd: DomainDescription, rng: random.Random) -> FiniteWorld:
+def _sampler(dd: DomainDescription):
+    """``draw(rng)``: one world, each choice a single ``rng.random()``
+    compared exactly against cumulative weights (the last choice when
+    none exceeds it); certain occurrences and unruled steps draw nothing."""
     sig = dd.signature
-    occurring = set()
-    for p in dd.pprops:
-        if p.prob == 1 or rng.random() < p.prob:
-            occurring.add((p.action, p.instant))
+    step = _compile(dd)
+    initial = list(zip(dd.iprop.head,
+                       itertools.accumulate(o.weight for o in dd.iprop.head)))
 
-    def row(i):
-        return {a: (TRUE if (a, i) in occurring else FALSE)
-                for a in sig.actions}
+    def pick(rng, moves):
+        r = rng.random()
+        return next((m for m in moves if r < m[-1]), moves[-1])
 
-    ic = _categorical(rng, dd.iprop.head)
-    states = [{**ic.effect, **row(0)}]
-    for i in range(sig.maxinst):
-        c = activated_cprop(dd, states[-1], instant=i)
-        fluents = sig.fluent_part(states[-1])
-        if c is not None:
-            fluents = update(fluents, _categorical(rng, c.head).effect)
-        states.append({**fluents, **row(i + 1)})
-    return FiniteWorld(sig, tuple(states))
+    def draw(rng: random.Random) -> FiniteWorld:
+        rows = _action_rows(sig, {(p.action, p.instant) for p in dd.pprops
+                                  if p.prob == 1 or rng.random() < p.prob})
+        states = [{**pick(rng, initial)[0].effect, **rows[0]}]
+        for i in range(sig.maxinst):
+            moves = step(states[-1], i)
+            _, fluents, _ = moves[0] if moves[0][0] is None else pick(rng, moves)
+            states.append({**fluents, **rows[i + 1]})
+        return FiniteWorld(sig, tuple(states))
 
-
-def _categorical(rng: random.Random, outcomes: tuple[Outcome, ...]) -> Outcome:
-    r = rng.random()
-    acc = Fraction(0)
-    for o in outcomes:
-        acc += o.weight
-        if r < acc:
-            return o
-    return outcomes[-1]
+    return draw

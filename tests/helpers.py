@@ -74,6 +74,15 @@ def table_entails(theta, theta_prime):
     return True
 
 
+def alternating(phi, other, depth):
+    """``phi`` under ``depth`` levels alternating ``(... & phi)`` and
+    ``(other | ...)``, outermost last."""
+    nest = phi
+    for k in range(depth):
+        nest = And(nest, phi) if k % 2 == 0 else Or(other, nest)
+    return nest
+
+
 def all_worlds(sig: DomainSignature):
     """Every world over the window: all state sequences, exhaustively."""
     states = [dict(zip(sig.symbols, combo))

@@ -114,8 +114,19 @@ class TestQuery:
         with pytest.raises(SystemExit) as err:
             main(["query", COIN, "-q", "[Coin=Heads]@2"])
         assert err.value.code == 1
-        assert capsys.readouterr().err.startswith(
-            "pec query: error: PEC_PRECISION must be an integer")
+        assert capsys.readouterr().err == (
+            "pec query: error: PEC_PRECISION must be an integer, not 'abc'\n")
+
+    def test_precision_env_unread_when_exact(self, capsys, monkeypatch):
+        monkeypatch.setenv("PEC_PRECISION", "abc")
+        code, out, _ = run(capsys, "query", COIN, "-q", "[Coin=Heads]@2", "--exact")
+        assert (code, out) == (0, "51/100\n")
+
+    def test_long_conjunction(self, capsys):
+        # evaluated without recursion, at the default recursion limit
+        query = " & ".join(["[Coin=Heads]@2"] * 1400)
+        code, out, _ = run(capsys, "query", COIN, "--exact", "-q", query)
+        assert (code, out) == (0, "51/100\n")
 
     def test_negative_precision(self, capsys):
         with pytest.raises(SystemExit) as err:

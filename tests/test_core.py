@@ -27,7 +27,7 @@ from pec import (
     satisfies,
     update,
 )
-from helpers import table_entails, random_formula
+from helpers import alternating, table_entails, random_formula
 
 
 def W(*fluent_action_pairs):
@@ -101,6 +101,14 @@ class TestEvalFormula:
     def test_unassigned_symbol(self):
         with pytest.raises(SignatureError):
             eval_formula({"Coin": "Heads"}, Lit("Rash", "Absent"))
+
+    def test_deep_alternating_nesting(self):
+        # evaluated without recursion, at the default recursion limit
+        heads, toss = Lit("Coin", "Heads"), Lit("Toss", TRUE)
+        phi = alternating(heads, toss, 1000)
+        assert eval_formula({"Coin": "Heads", "Toss": FALSE}, phi)
+        assert not eval_formula({"Coin": "Tails", "Toss": FALSE}, phi)
+        assert eval_formula({"Coin": "Tails", "Toss": TRUE}, phi)
 
 
 class TestSatisfies:

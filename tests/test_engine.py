@@ -35,7 +35,7 @@ from pec import (
     transition_graph,
     tset,
 )
-from helpers import all_worlds, canonical_trace, micro_domain, random_domain
+from helpers import all_worlds, alternating, canonical_trace, micro_domain, random_domain
 
 
 def coin_world(sig, *pairs):
@@ -266,6 +266,11 @@ class TestQueries:
             conditional(coin, parse_query("[Coin=Heads]@1", sig),
                         parse_query("[Coin=Tails]@0", sig))
 
+    def test_deep_alternating_query(self, coin):
+        # evaluated without recursion, at the default recursion limit
+        phi = alternating(ILit("Coin", "Heads", 2), ILit("Coin", "Tails", 0), 1000)
+        assert marginal(coin, phi) == Fraction(51, 100)
+
     def test_marginal_rejects_out_of_window_instants(self, coin):
         from pec import RangeError
         with pytest.raises(RangeError):
@@ -399,6 +404,19 @@ class TestSampling:
         phi = parse_query("[Coin=Heads]@2", coin.signature)
         freq = sample_frequency(coin, phi, 20000, 7)
         assert abs(freq - Fraction(51, 100)) < Fraction(2, 100)
+
+    # pinned to the values drawn before the sampler read the compiled
+    # table, so the seeded stream cannot move unnoticed
+    def test_seeded_frequencies_pinned(self, coin, antibiotic):
+        heads = parse_query("[Coin=Heads]@2", coin.signature)
+        assert sample_frequency(coin, heads, 2000, 9) == Fraction(517, 1000)
+        cured = parse_query("[Bacteria=Absent]@4", antibiotic.signature)
+        assert sample_frequency(antibiotic, cured, 2000, 9) == Fraction(1517, 2000)
+
+    def test_seeded_world_pinned(self, antibiotic):
+        world = sample_world(antibiotic, 42)
+        assert [(world.fluent_state(i)["Bacteria"], world.fluent_state(i)["Rash"])
+                for i in range(5)] == [("Weak", "Present")] * 2 + [("Absent", "Absent")] * 3
 
     def test_positive_count_required(self, coin):
         phi = parse_query("[Coin=Heads]@2", coin.signature)
