@@ -16,9 +16,10 @@ distribution) and J the outcome within its head.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .core import And, Formula, Implies, Lit, Not, Or, PecError
+from .core import And, Formula, Implies, Lit, Not, Or, PecError, fold
 from .syntax import DomainDescription
 
 
@@ -77,37 +78,26 @@ def to_dnf(phi: Formula) -> list[list[tuple[Lit, bool]]]:
     in left-to-right expansion order; conjunctions containing a literal
     both positively and negatively are dropped.
     """
+    # Negations go down to the literals first, so that the DNF is built
+    # for the one polarity needed: each node folds to the pair (its NNF,
+    # its negation's NNF), with (literal, sign) pairs as leaves.
+    nnf = fold(phi, lambda lit: ((lit, True), (lit, False)), _NNF)[0]
     disjuncts = []
-    for raw in _expand(phi, True):
+    for raw in fold(nnf, lambda signed: [[signed]], _DNF):
         cleaned = _dedupe(raw)
         if cleaned is not None:
             disjuncts.append(cleaned)
     return disjuncts
 
 
-# Kept recursive: polarity flows down; a fold would build both polarities' DNF.
-def _expand(phi, positive: bool) -> list[list[tuple[Lit, bool]]]:
-    if isinstance(phi, Lit):
-        return [[(phi, positive)]]
-    if isinstance(phi, Not):
-        return _expand(phi.arg, not positive)
-    if isinstance(phi, And):
-        if positive:
-            return _cross(_expand(phi.left, True), _expand(phi.right, True))
-        return _expand(phi.left, False) + _expand(phi.right, False)
-    if isinstance(phi, Or):
-        if positive:
-            return _expand(phi.left, True) + _expand(phi.right, True)
-        return _cross(_expand(phi.left, False), _expand(phi.right, False))
-    if isinstance(phi, Implies):
-        if positive:
-            return _expand(phi.left, False) + _expand(phi.right, True)
-        return _cross(_expand(phi.left, True), _expand(phi.right, False))
-    raise TypeError(f"not a formula node: {phi!r}")
-
-
-def _cross(lefts, rights):
-    return [l + r for l in lefts for r in rights]
+_NNF = {
+    Not: lambda a: (a[1], a[0]),
+    And: lambda a, b: (And(a[0], b[0]), Or(a[1], b[1])),
+    Or: lambda a, b: (Or(a[0], b[0]), And(a[1], b[1])),
+    Implies: lambda a, b: (Or(a[1], b[0]), And(a[0], b[1])),
+}
+_DNF = {And: lambda lefts, rights: [l + r for l in lefts for r in rights],
+        Or: operator.add}
 
 
 def _dedupe(conj):

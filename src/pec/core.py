@@ -216,11 +216,6 @@ def _leaves(phi) -> list:
     return found
 
 
-def literals_of(phi: Formula) -> list[Lit]:
-    """Distinct literals mentioned by a formula, in first-seen order."""
-    return list(dict.fromkeys(_leaves(phi)))
-
-
 def instants_of(phi: IFormula) -> set[int]:
     return {leaf.instant for leaf in _leaves(phi)}
 
@@ -315,30 +310,25 @@ def update(base: Mapping[str, str], delta: Mapping[str, str]) -> dict[str, str]:
     return out
 
 
-def ensure_probability(value: Fraction, *, positive: bool = False) -> Fraction:
-    """Validate a probability value; ``positive`` demands the (0,1] range."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value < 0 or value > 1:
-        raise PecError(f"probability {value} outside [0,1]")
-    if positive and value == 0:
-        raise PecError("probability must be strictly positive")
-    return value
-
-
 @dataclass(frozen=True)
 class Outcome:
     """A weighted effect alternative: a partial fluent state and its weight.
 
     Effect insertion order is preserved (it drives rendering and the
-    generated program); equality ignores order.
+    generated program); equality ignores order.  The weight, given as
+    anything ``Fraction`` accepts, is stored as a ``Fraction`` in (0,1].
     """
 
     effect: Mapping[str, str]
     weight: Fraction
 
     def __post_init__(self):
-        ensure_probability(self.weight, positive=True)
+        weight = Fraction(self.weight)
+        if weight < 0 or weight > 1:
+            raise PecError(f"probability {weight} outside [0,1]")
+        if weight == 0:
+            raise PecError("probability must be strictly positive")
+        object.__setattr__(self, "weight", weight)
 
 
 def outcomes_weight(outcomes: Iterable[Outcome]) -> Fraction:

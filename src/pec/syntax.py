@@ -21,6 +21,14 @@ sum to ``s < 1`` and which has no explicit empty effect gets an implicit
 
 Queries are instant-stamped formulas such as
 ``[Coin=Heads]@2 & ![Coin=Tails]@3``.
+
+Text becomes a domain in four steps: ``_lex`` cuts it into tokens; the
+parser files each statement under its kind as it reads it (``fluent``
+as a ``VProp``, an occurrence as a ``PProp``, rules and the initial
+distribution as raw rules that keep their source locations);
+``_validate_statements`` checks those lists and reports every violated
+condition; ``parse_domain`` builds the ``DomainDescription`` from them.
+Statements may come in any order; within a kind, source order is kept.
 """
 
 from __future__ import annotations
@@ -195,7 +203,7 @@ def _lex(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Raw parse tree (pre-validation)
+# Statements by kind (pre-validation)
 
 
 @dataclass
@@ -209,19 +217,28 @@ class _RawOutcome:
 
 
 @dataclass
-class _RawStatement:
-    kind: str  # "v" | "action" | "maxinst" | "i" | "c" | "p"
+class _RawRule:
+    """A causal rule, or the initial distribution when ``body`` is None."""
+
+    outcomes: list[_RawOutcome]
     loc: tuple[int, int]
-    fluent: str = ""
-    values: list[str] = field(default_factory=list)
-    name: str = ""
-    number: int = 0
-    outcomes: list[_RawOutcome] = field(default_factory=list)
     body: Formula | None = None
     body_lits: list[tuple[str, str, tuple[int, int]]] = field(default_factory=list)
-    action: str = ""
-    instant: int = 0
-    prob: Fraction = Fraction(1)
+
+    def head(self) -> tuple[Outcome, ...]:
+        return tuple(Outcome(o.effect(), o.weight) for o in self.outcomes)
+
+
+@dataclass
+class _Statements:
+    """A domain text's statements filed by kind, each kind in source order."""
+
+    vprops: list[VProp] = field(default_factory=list)
+    actions: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
+    maxinsts: list[tuple[int, tuple[int, int]]] = field(default_factory=list)
+    iprops: list[_RawRule] = field(default_factory=list)
+    cprops: list[_RawRule] = field(default_factory=list)
+    pprops: list[PProp] = field(default_factory=list)
 
 
 class _Parser:
@@ -252,52 +269,39 @@ class _Parser:
 
     # -- statements --------------------------------------------------------
 
-    def parse_statements(self) -> list[_RawStatement]:
-        stmts = []
-        while self.peek().kind != "eof":
-            stmts.append(self.parse_statement())
-        return stmts
+    def parse_statements(self) -> _Statements:
+        found = _Statements()
+        while (tok := self.peek()).kind != "eof":
+            loc = (tok.line, tok.col)
+            if tok.text == "fluent":
+                self.advance()
+                name = self.expect("id", "a fluent name").text
+                self.expect("takes-values")
+                values = self._braced(lambda: self.expect("id", "a value name").text)
+                found.vprops.append(VProp(name, tuple(values), loc))
+            elif tok.text == "action":
+                self.advance()
+                found.actions.append((self.expect("id", "an action name").text, loc))
+            elif tok.text == "maxinst":
+                self.advance()
+                number = int(self.expect("nat", "an instant bound").text)
+                found.maxinsts.append((number, loc))
+            elif tok.kind == "initially-one-of":
+                self.advance()
+                found.iprops.append(_RawRule(self._braced(self._outcome), loc))
+            elif tok.kind == "id" and self.peek(1).kind == "performed-at":
+                self.pos += 2  # the action name and performed-at
+                instant = int(self.expect("nat", "an instant").text)
+                prob = Fraction(1)
+                if self.peek().kind == "with-prob":
+                    self.advance()
+                    prob = self._prob()
+                found.pprops.append(PProp(tok.text, instant, prob, loc))
+            else:
+                found.cprops.append(self._cprop(loc))
+        return found
 
-    def parse_statement(self) -> _RawStatement:
-        tok = self.peek()
-        if tok.kind == "id" and tok.text == "fluent":
-            return self._vprop()
-        if tok.kind == "id" and tok.text == "action":
-            self.advance()
-            name = self.expect("id", "an action name")
-            return _RawStatement("action", (tok.line, tok.col), name=name.text)
-        if tok.kind == "id" and tok.text == "maxinst":
-            self.advance()
-            n = self.expect("nat", "an instant bound")
-            return _RawStatement("maxinst", (tok.line, tok.col), number=int(n.text))
-        if tok.kind == "initially-one-of":
-            self.advance()
-            return _RawStatement("i", (tok.line, tok.col),
-                                 outcomes=self._braced(self._outcome))
-        if tok.kind == "id" and self.peek(1).kind == "performed-at":
-            return self._pprop()
-        return self._cprop()
-
-    def _vprop(self) -> _RawStatement:
-        tok = self.advance()  # "fluent"
-        name = self.expect("id", "a fluent name")
-        self.expect("takes-values")
-        values = self._braced(lambda: self.expect("id", "a value name").text)
-        return _RawStatement("v", (tok.line, tok.col), fluent=name.text, values=values)
-
-    def _pprop(self) -> _RawStatement:
-        name = self.advance()
-        self.advance()  # performed-at
-        instant = int(self.expect("nat", "an instant").text)
-        prob = Fraction(1)
-        if self.peek().kind == "with-prob":
-            self.advance()
-            prob = self._prob()
-        return _RawStatement("p", (name.line, name.col), action=name.text,
-                             instant=instant, prob=prob)
-
-    def _cprop(self) -> _RawStatement:
-        tok = self.peek()
+    def _cprop(self, loc: tuple[int, int]) -> _RawRule:
         lits: list[tuple[str, str, tuple[int, int]]] = []
         body = self._formula(lambda: self._body_atom(lits), _BODY_OPERAND)
         self.expect("causes-one-of")
@@ -306,9 +310,8 @@ class _Parser:
         # explicit empty effect is present.
         total = sum((o.weight for o in outcomes), Fraction(0))
         if total < 1 and all(o.literals for o in outcomes):
-            outcomes.append(_RawOutcome([], 1 - total, (tok.line, tok.col)))
-        return _RawStatement("c", (tok.line, tok.col), body=body,
-                             outcomes=outcomes, body_lits=lits)
+            outcomes.append(_RawOutcome([], 1 - total, loc))
+        return _RawRule(outcomes, loc, body, lits)
 
     def _braced(self, item, empty_ok: bool = False) -> list:
         """``{item, item, ...}``, or ``{}`` when ``empty_ok``."""
@@ -446,38 +449,36 @@ def _literal_problem(subject: str, value: str, vals: Mapping[str, Container[str]
     return None
 
 
-def _validate_statements(stmts: list[_RawStatement]) -> ValidationReport:
+def _validate_statements(found: _Statements) -> ValidationReport:
     issues: list[Issue] = []
 
-    maxinsts = [s for s in stmts if s.kind == "maxinst"]
-    if not maxinsts:
+    maxinst = None
+    if not found.maxinsts:
         issues.append(Issue("missing maxinst statement", 1, 1))
-    for extra in maxinsts[1:]:
-        issues.append(Issue("duplicate maxinst statement", *extra.loc))
-    maxinst = maxinsts[0].number if maxinsts else None
-    if maxinst is not None and maxinst < 1:
-        issues.append(Issue("maxinst must be at least 1", *maxinsts[0].loc))
+    else:
+        maxinst, loc = found.maxinsts[0]
+        if maxinst < 1:
+            issues.append(Issue("maxinst must be at least 1", *loc))
+    for _, loc in found.maxinsts[1:]:
+        issues.append(Issue("duplicate maxinst statement", *loc))
 
     sig_vals: dict[str, list[str]] = {}
+    for v in found.vprops:
+        if v.fluent in sig_vals:
+            issues.append(Issue(
+                f"duplicate value declaration for fluent {v.fluent}",
+                *v.loc, condition="(iii)"))
+            continue
+        for x in sorted({x for x in v.values if v.values.count(x) > 1}):
+            issues.append(Issue(
+                f"duplicate value {x} in declaration of {v.fluent}", *v.loc))
+        sig_vals[v.fluent] = list(dict.fromkeys(v.values))
     actions: set[str] = set()
-    for s in stmts:
-        if s.kind == "v":
-            if s.fluent in sig_vals:
-                issues.append(Issue(
-                    f"duplicate value declaration for fluent {s.fluent}",
-                    *s.loc, condition="(iii)"))
-                continue
-            dupes = {v for v in s.values if s.values.count(v) > 1}
-            for v in sorted(dupes):
-                issues.append(Issue(
-                    f"duplicate value {v} in declaration of {s.fluent}", *s.loc))
-            sig_vals[s.fluent] = list(dict.fromkeys(s.values))
-        elif s.kind == "action":
-            if s.name in actions:
-                issues.append(Issue(f"duplicate action declaration {s.name}", *s.loc))
-            actions.add(s.name)
-    both = sorted(set(sig_vals) & actions)
-    for name in both:
+    for name, loc in found.actions:
+        if name in actions:
+            issues.append(Issue(f"duplicate action declaration {name}", *loc))
+        actions.add(name)
+    for name in sorted(set(sig_vals) & actions):
         issues.append(Issue(f"{name} is declared as both fluent and action", 1, 1))
     if not sig_vals:
         issues.append(Issue("at least one fluent must be declared", 1, 1))
@@ -488,106 +489,70 @@ def _validate_statements(stmts: list[_RawStatement]) -> ValidationReport:
             if problem:
                 issues.append(Issue(problem, line, col))
 
-    def check_weights(raw_outcomes, loc, what):
-        for o in raw_outcomes:
+    def check_head(rule, what):
+        for o in rule.outcomes:
+            check_literals(o.literals, effect=True)
             if not 0 < o.weight <= 1:
                 issues.append(Issue(
                     f"outcome weight {o.weight} outside (0,1]", *o.loc))
-        total = sum((o.weight for o in raw_outcomes), Fraction(0))
+        total = sum((o.weight for o in rule.outcomes), Fraction(0))
         if total != 1:
             issues.append(Issue(
-                f"{what} weights sum to {total}, expected 1", *loc))
-        effects = [o.effect() for o in raw_outcomes]
+                f"{what} weights sum to {total}, expected 1", *rule.loc))
+        effects = [o.effect() for o in rule.outcomes]
         for i, eff in enumerate(effects):
             if eff in effects[:i]:
                 issues.append(Issue(
-                    f"duplicate effect in {what}", *raw_outcomes[i].loc))
+                    f"duplicate effect in {what}", *rule.outcomes[i].loc))
 
-    iprops = [s for s in stmts if s.kind == "i"]
-    if not iprops:
+    if not found.iprops:
         issues.append(Issue("no i-proposition", 1, 1, condition="(ii)"))
-    for extra in iprops[1:]:
+    for extra in found.iprops[1:]:
         issues.append(Issue("more than one i-proposition", *extra.loc,
                             condition="(ii)"))
-    for s in iprops:
-        for o in s.outcomes:
-            check_literals(o.literals, effect=True)
+    for rule in found.iprops:
+        check_head(rule, "initially-one-of")
+        for o in rule.outcomes:
             missing = sorted(set(sig_vals) - set(o.effect()))
             if missing:
                 issues.append(Issue(
                     "initial outcome must assign every fluent "
                     f"(missing {', '.join(missing)})", *o.loc))
-        check_weights(s.outcomes, s.loc, "initially-one-of")
 
-    cprops = [s for s in stmts if s.kind == "c"]
-    for s in cprops:
-        check_literals(s.body_lits)
-        for o in s.outcomes:
-            check_literals(o.literals, effect=True)
-        check_weights(s.outcomes, s.loc, "causes-one-of")
-        if not any(herbrand_entails(s.body, Lit(a, TRUE)) for a in actions):
+    for rule in found.cprops:
+        check_literals(rule.body_lits)
+        check_head(rule, "causes-one-of")
+        if not any(herbrand_entails(rule.body, Lit(a, TRUE)) for a in actions):
             issues.append(Issue(
-                "causal rule body does not entail any action", *s.loc))
-    for i, s in enumerate(cprops):
-        for j, other in enumerate(cprops):
-            if i != j and herbrand_entails(s.body, other.body):
+                "causal rule body does not entail any action", *rule.loc))
+    for i, rule in enumerate(found.cprops):
+        for j, other in enumerate(found.cprops):
+            if i != j and herbrand_entails(rule.body, other.body):
                 issues.append(Issue(
                     f"causal rule body entails the body of the rule at "
-                    f"line {other.loc[0]}", *s.loc, condition="(i)"))
+                    f"line {other.loc[0]}", *rule.loc, condition="(i)"))
 
-    seen_occurrences: dict[tuple[str, int], tuple[int, int]] = {}
-    for s in stmts:
-        if s.kind != "p":
-            continue
-        if s.action in sig_vals:
-            issues.append(Issue(f"{s.action} is a fluent, not an action", *s.loc))
-        elif s.action not in actions:
-            issues.append(Issue(f"unknown action {s.action}", *s.loc))
-        if maxinst is not None and s.instant >= maxinst:
+    seen_occurrences: set[tuple[str, int]] = set()
+    for p in found.pprops:
+        if p.action in sig_vals:
+            issues.append(Issue(f"{p.action} is a fluent, not an action", *p.loc))
+        elif p.action not in actions:
+            issues.append(Issue(f"unknown action {p.action}", *p.loc))
+        if maxinst is not None and p.instant >= maxinst:
             issues.append(Issue(
-                f"occurrence instant {s.instant} must be below maxinst "
-                f"{maxinst}", *s.loc))
-        if not 0 < s.prob <= 1:
+                f"occurrence instant {p.instant} must be below maxinst "
+                f"{maxinst}", *p.loc))
+        if not 0 < p.prob <= 1:
             issues.append(Issue(
-                f"occurrence probability {s.prob} outside (0,1]", *s.loc))
-        key = (s.action, s.instant)
-        if key in seen_occurrences:
+                f"occurrence probability {p.prob} outside (0,1]", *p.loc))
+        if (p.action, p.instant) in seen_occurrences:
             issues.append(Issue(
-                f"duplicate occurrence of {s.action} at instant {s.instant}",
-                *s.loc, condition="(iv)"))
-        else:
-            seen_occurrences[key] = s.loc
+                f"duplicate occurrence of {p.action} at instant {p.instant}",
+                *p.loc, condition="(iv)"))
+        seen_occurrences.add((p.action, p.instant))
 
     issues.sort(key=lambda i: (i.line, i.col, i.message))
     return ValidationReport(tuple(issues))
-
-
-def _assemble(stmts: list[_RawStatement]) -> DomainDescription:
-    fluents, vals, vprops = [], {}, []
-    actions = []
-    maxinst = 0
-    iprop = None
-    cprops, pprops = [], []
-    for s in stmts:
-        if s.kind == "v":
-            fluents.append(s.fluent)
-            vals[s.fluent] = tuple(s.values)
-            vprops.append(VProp(s.fluent, tuple(s.values), s.loc))
-        elif s.kind == "action":
-            actions.append(s.name)
-        elif s.kind == "maxinst":
-            maxinst = s.number
-        elif s.kind == "i":
-            iprop = IProp(tuple(Outcome(o.effect(), o.weight)
-                                for o in s.outcomes), s.loc)
-        elif s.kind == "c":
-            cprops.append(CProp(s.body, tuple(Outcome(o.effect(), o.weight)
-                                              for o in s.outcomes), s.loc))
-        elif s.kind == "p":
-            pprops.append(PProp(s.action, s.instant, s.prob, s.loc))
-    signature = DomainSignature(tuple(fluents), tuple(actions), vals, maxinst)
-    return DomainDescription(signature, tuple(vprops), tuple(cprops),
-                             tuple(pprops), iprop)
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +567,23 @@ def parse_domain(text: str) -> DomainDescription:
     problem) when the parsed statements violate a well-formedness
     condition.
     """
-    stmts = _Parser(text).parse_statements()
-    report = _validate_statements(stmts)
+    found = _Parser(text).parse_statements()
+    report = _validate_statements(found)
     if not report.ok():
         raise DomainValidationError(report)
-    return _assemble(stmts)
+    # valid: one maxinst, one i-proposition, no repeated fluent or action
+    vals = {v.fluent: v.values for v in found.vprops}
+    actions = tuple(name for name, _ in found.actions)
+    signature = DomainSignature(tuple(vals), actions, vals, found.maxinsts[0][0])
+    cprops = tuple(CProp(r.body, r.head(), r.loc) for r in found.cprops)
+    (initial,) = found.iprops
+    return DomainDescription(signature, tuple(found.vprops), cprops,
+                             tuple(found.pprops), IProp(initial.head(), initial.loc))
 
 
 def validate(text: str) -> ValidationReport:
     """Parse ``text`` and report every violated condition (empty = valid)."""
-    stmts = _Parser(text).parse_statements()
-    return _validate_statements(stmts)
+    return _validate_statements(_Parser(text).parse_statements())
 
 
 def parse_query(text: str, signature: DomainSignature) -> IFormula:

@@ -166,6 +166,18 @@ class TestTranslate:
         assert code == 0
         assert out.read_text() == (GOLDEN / "coin.lp").read_text()
 
+    def test_deep_rule_body(self, capsys, tmp_path):
+        # normalised without recursion: 1,500 copies of Toss flatten to one
+        body = " & ".join(["Toss"] * 1500)
+        src = tmp_path / "deep.pec"
+        src.write_text((EXAMPLES / "coin.pec").read_text().replace(
+            "Toss causes-one-of", f"{body} causes-one-of"))
+        out = tmp_path / "deep.lp"
+        code, _, err = run(capsys, "translate", str(src), "--with-axioms",
+                           "-o", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_text() == (GOLDEN / "coin.lp").read_text()
+
     def test_keys_occurrence_fact(self, capsys, tmp_path):
         out = tmp_path / "keys.lp"
         run(capsys, "translate", KEYS, "-o", str(out))

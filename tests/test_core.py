@@ -207,6 +207,21 @@ class TestOutcomes:
         with pytest.raises(PecError):
             Outcome({}, weight)
 
+    @pytest.mark.parametrize("weight", ["1/2", 0.5, Fraction(1, 2)])
+    def test_weight_stored_as_fraction(self, weight):
+        stored = Outcome({}, weight).weight
+        assert type(stored) is Fraction and stored == Fraction(1, 2)
+
+    @pytest.mark.parametrize("weight,message", [
+        ("3/2", "probability 3/2 outside [0,1]"),
+        (-1, "probability -1 outside [0,1]"),
+        (0, "probability must be strictly positive"),
+    ])
+    def test_weight_messages(self, weight, message):
+        with pytest.raises(PecError) as err:
+            Outcome({}, weight)
+        assert str(err.value) == message
+
 
 class TestFormatDecimal:
     @pytest.mark.parametrize("value,digits,expected", [

@@ -14,11 +14,13 @@ from pec import (
     Lit,
     PecSyntaxError,
     TRUE,
+    emit,
     format_formula,
     marginal,
     parse_domain,
     parse_query,
     render,
+    sample_world,
     validate,
 )
 from helpers import random_domain
@@ -305,3 +307,75 @@ class TestRender:
         for lit in lits[1:]:
             chain = And(chain, lit)
         assert format_formula(chain) == " & ".join(f"X{i}" for i in range(1400))
+
+
+def _kind(statement):
+    first = statement.split()[0]
+    if first in ("maxinst", "fluent", "action", "initially-one-of"):
+        return first
+    return "performed-at" if " performed-at " in statement else "causes-one-of"
+
+
+def _interleave(rng, statements):
+    """The statements in a random order that keeps each kind's order."""
+    queues = {}
+    for statement in statements:
+        queues.setdefault(_kind(statement), []).append(statement)
+    queues = list(queues.values())
+    out = []
+    while queues:
+        queue = rng.choice(queues)
+        out.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    return out
+
+
+def _statements(dd):
+    return [line for line in render(dd).splitlines() if line]
+
+
+class TestStatementOrder:
+    def test_kinds_interleave_freely(self, coin, antibiotic, keys):
+        rng = random.Random(71)
+        domains = [coin, antibiotic, keys] + [random_domain(rng) for _ in range(30)]
+        for dd in domains:
+            for _ in range(5):
+                mixed = parse_domain("\n".join(_interleave(rng, _statements(dd))))
+                assert mixed == dd
+                assert render(mixed) == render(dd)
+                assert emit(mixed) == emit(dd)
+
+    def test_fluent_order_is_signature_order(self, antibiotic):
+        lines = _statements(antibiotic)
+        first, second = [i for i, s in enumerate(lines) if _kind(s) == "fluent"]
+        lines[first], lines[second] = lines[second], lines[first]
+        swapped = parse_domain("\n".join(lines))
+        assert swapped.signature.fluents == ("Rash", "Bacteria")
+        assert [v.fluent for v in swapped.vprops] == ["Rash", "Bacteria"]
+
+    def test_rule_order_numbers_outcome_constants(self, antibiotic):
+        lines = _statements(antibiotic)
+        weak, resistant = [i for i, s in enumerate(lines)
+                           if _kind(s) == "causes-one-of"]
+        program = emit(antibiotic)
+        lines[weak], lines[resistant] = lines[resistant], lines[weak]
+        swapped = emit(parse_domain("\n".join(lines)))
+        assert "causesOutcome((id_1_1, 7/10), I)" in program
+        assert "causesOutcome((id_1_1, 1/13), I)" in swapped
+        assert "causesOutcome((id_2_1, 7/10), I)" in swapped
+
+    def test_occurrence_order_is_draw_order(self):
+        head = ("maxinst 3\nfluent F takes-values {a, b}\naction A\n"
+                "initially-one-of {({F=a}, 1)}\nA causes-one-of {({F=b}, 1)}\n")
+        early = "A performed-at 1 with-prob 9/10\n"
+        late = "A performed-at 2 with-prob 1/10\n"
+        forward = parse_domain(head + early + late)
+        backward = parse_domain(head + late + early)
+        assert [p.instant for p in forward.pprops] == [1, 2]
+        assert [p.instant for p in backward.pprops] == [2, 1]
+        query = parse_query("[F=b]@3", forward.signature)
+        assert marginal(forward, query) == marginal(backward, query)
+        # the sampler draws for the occurrences in pprops order
+        assert any(sample_world(forward, seed) != sample_world(backward, seed)
+                   for seed in range(20))
