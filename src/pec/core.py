@@ -261,6 +261,20 @@ def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
     return fold(phi, leaf, _TRUTH)
 
 
+def satisfier(phi: IFormula) -> Callable[[Sequence[Mapping[str, str]]], bool]:
+    """``satisfies(·, phi)`` for ``phi`` inside the window, folding ``phi``
+    once per distinct valuation of its literals."""
+    lits = list(dict.fromkeys(_leaves(phi)))
+    memo: dict[tuple, bool] = {}
+
+    def holds(states: Sequence[Mapping[str, str]]) -> bool:
+        row = tuple([_holds(states[il.instant], il.subject, il.value) for il in lits])
+        if row not in memo:
+            memo[row] = fold(phi, dict(zip(lits, row)).__getitem__, _TRUTH)
+        return memo[row]
+    return holds
+
+
 _BLOCK_BITS = 16  # truth-table rows per block: 2**16, so masks stay 8 KiB
 
 

@@ -4,9 +4,9 @@ The model of a domain assigns each well-behaved world a weight: the
 narrative evaluation of the world times the summed evaluations of its
 traces.  Every decision of the form "which rule fires in this total
 state, and where can it go" is made once, by the compiled one-step
-table of ``_compile``: ``enumerate_worlds`` walks it to materialise the
-model exactly (weights are Fractions and sum to 1), the sampler draws
-from it, and ``tset``/``transition``/``transition_graph`` read it.
+table of ``_compile``: ``enumerate_worlds`` walks its moves grouped by
+target, reaching each world once, the sampler draws from its moves,
+and ``tset``/``transition``/``transition_graph`` read its groups.
 ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, used as an oracle against the enumerator;
 marginals, conditionals and restriction are defined on top.
@@ -32,6 +32,7 @@ from .core import (
     eval_formula,
     instants_of,
     outcomes_weight,
+    satisfier,
     satisfies,
     update,
 )
@@ -142,40 +143,45 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     Branches over (a) occur/not-occur for every occurrence statement
     with probability below 1 (probability-1 occurrences are forced, all
     other action atoms false, per the closed world assumption), (b) the
-    initial choice, and (c) the move of the compiled table at every
-    instant, walked depth first so the fluent state changes only by
-    chosen outcomes.  Leaves reaching the same world are grouped into
-    its trace set.  The returned weights always sum to exactly 1.
+    initial choice, and (c) the compiled table's moves grouped by next
+    fluent state, depth first, so each world is reached once: its weight
+    is carried down as a product and its traces are the product of its
+    outcome groups.  The returned weights always sum to exactly 1.
     """
     sig = dd.signature
-    step = _compile(dd)
+    groups = _compile(dd).groups
     choices = [(True,) if p.prob == 1 else (True, False) for p in dd.pprops]
-    groups: dict[tuple, list] = {}
-
+    result = []
     for bits in itertools.product(*choices):
         eps = Fraction(1)
         for p, occurs in zip(dd.pprops, bits):
             eps *= p.prob if occurs else 1 - p.prob
         rows = _action_rows(sig, {(p.action, p.instant)
                                   for p, occurs in zip(dd.pprops, bits) if occurs})
-        for ic in dd.iprop.head:
-            stack = [(({**ic.effect, **rows[0]},), ())]
-            while stack:
-                states, chosen = stack.pop()
-                i = len(states) - 1
-                if i == sig.maxinst:
-                    world = FiniteWorld(sig, states)
-                    entry = groups.setdefault(world.key(), [world, eps, []])
-                    entry[2].append(Trace(ic, dict(chosen)))
-                    continue
-                for o, fluents, _ in reversed(step(states[-1], i)):
-                    stack.append((states + ({**fluents, **rows[i + 1]},),
-                                  chosen if o is None else chosen + ((i, o),)))
-
-    result = []
-    for world, eps, traces in groups.values():
-        weight = eps * sum((trace_eval(t) for t in traces), Fraction(0))
-        result.append(WeightedWorld(world, weight, tuple(traces)))
+        # a link is (previous link, states before it, instant fired,
+        # outcomes, fluents after): only instants where a rule fires add one
+        stack = [(0, eps * ic.weight, (None, [], -1, (ic,), ic.effect))
+                 for ic in reversed(dd.iprop.head)]
+        while stack:
+            i, weight, link = stack.pop()
+            held = [{**link[4], **rows[i]}]  # the states until a rule fires
+            while i < sig.maxinst and not (moves := groups(held[-1], i))[0][1]:
+                i += 1
+                held.append({**link[4], **rows[i]})
+            if i < sig.maxinst:
+                stack += [(i + 1, weight * w, (link, held, i, outs, fluents))
+                          for fluents, outs, w in reversed(moves)]
+                continue
+            path = []  # a world: its links back to the initial choice
+            while link is not None:
+                path.append(link)
+                link = link[0]
+            path.reverse()
+            states = tuple(itertools.chain(*(node[1] for node in path), held))
+            fired = [node[2] for node in path[1:]]
+            traces = tuple(Trace(ic, dict(zip(fired, chosen))) for ic, *chosen
+                           in itertools.product(*(node[3] for node in path)))
+            result.append(WeightedWorld(FiniteWorld(sig, states), weight, traces))
     return result
 
 
@@ -192,28 +198,44 @@ def _compile(dd: DomainDescription):
     ``step(state, instant)`` lists the moves out of a total state: one
     ``(outcome, next fluent state, cumulative weight)`` per outcome of
     the activated rule, in head order, or ``(None, same fluents, 1)``
-    when no rule fires.  Moves are memoised per state for the life of
-    the returned function; a clash raises ConcurrentActivation at each
-    reach and is never stored.
+    when no rule fires.  ``step.groups`` groups them by target: ``(next
+    fluent state, outcomes in head order, summed weight)``, or ``(same
+    fluents, (), 1)`` when none fires.  Each view is built on first use
+    and memoised per state for the life of ``step``; a clash raises
+    ConcurrentActivation at each reach and is never stored.
     """
     sig = dd.signature
-    moves: dict[tuple, list] = {}
 
-    def step(state: Mapping[str, str], instant: int | None = None) -> list:
-        key = tuple(map(state.get, sig.symbols))
-        found = moves.get(key)
-        if found is None:
-            c = activated_cprop(dd, state, instant)
-            fluents = sig.fluent_part(state)
-            if c is None:
-                found = [(None, fluents, Fraction(1))]
-            else:
-                weights = itertools.accumulate(o.weight for o in c.head)
-                found = [(o, update(fluents, o.effect), w)
-                         for o, w in zip(c.head, weights)]
-            moves[key] = found
-        return found
+    def memoised(build):
+        table: dict[tuple, list] = {}
 
+        def lookup(state: Mapping[str, str], instant: int | None = None) -> list:
+            key = tuple(map(state.get, sig.symbols))
+            if key not in table:
+                table[key] = build(state, instant)
+            return table[key]
+        return lookup
+
+    def moves(state, instant):
+        c = activated_cprop(dd, state, instant)
+        fluents = sig.fluent_part(state)
+        if c is None:
+            return [(None, fluents, Fraction(1))]
+        weights = itertools.accumulate(o.weight for o in c.head)
+        return [(o, update(fluents, o.effect), w) for o, w in zip(c.head, weights)]
+
+    def groups(state, instant):
+        listed = moves(state, instant)
+        if listed[0][0] is None:
+            return [(listed[0][1], (), listed[0][2])]
+        found: dict[frozenset, tuple] = {}
+        for o, fluents, _ in listed:
+            found.setdefault(frozenset(fluents.items()), (fluents, []))[1].append(o)
+        return [(f, tuple(outs), sum((o.weight for o in outs[1:]), outs[0].weight))
+                for f, outs in found.values()]
+
+    step = memoised(moves)
+    step.groups = memoised(groups)
     return step
 
 
@@ -292,8 +314,9 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     """Probability of an instant-stamped formula: the summed weight of
     the enumerated worlds satisfying it."""
     _check_window(dd, phi)
+    holds = satisfier(phi)
     return sum((w.weight for w in enumerate_worlds(dd)
-                if w.world.satisfies(phi)), Fraction(0))
+                if holds(w.world.states)), Fraction(0))
 
 
 def entails(dd: DomainDescription, h: HProposition) -> bool:
@@ -306,14 +329,13 @@ def conditional(dd: DomainDescription, phi: IFormula,
     """P(phi | psi) = P(phi and psi) / P(psi); ConditionZero if P(psi)=0."""
     _check_window(dd, phi)
     _check_window(dd, psi)
-    worlds = enumerate_worlds(dd)
-    denominator = sum((w.weight for w in worlds
-                       if w.world.satisfies(psi)), Fraction(0))
+    holds = satisfier(psi)
+    given = [w for w in enumerate_worlds(dd) if holds(w.world.states)]
+    denominator = sum((w.weight for w in given), Fraction(0))
     if denominator == 0:
         raise ConditionZero("conditioning formula has probability 0")
-    numerator = sum((w.weight for w in worlds
-                     if w.world.satisfies(psi) and w.world.satisfies(phi)),
-                    Fraction(0))
+    holds = satisfier(phi)
+    numerator = sum((w.weight for w in given if holds(w.world.states)), Fraction(0))
     return numerator / denominator
 
 
@@ -328,8 +350,8 @@ def tset(dd: DomainDescription, state: Mapping[str, str],
     With no activated rule the only transition is staying put, with the
     unit outcome; anything else is impossible.
     """
-    return [Outcome({}, Fraction(1)) if o is None else o
-            for o, fluents, _ in _compile(dd)(state) if fluents == target]
+    return [o for fluents, outs, _ in _compile(dd).groups(state)
+            if fluents == target for o in outs or [Outcome({}, Fraction(1))]]
 
 
 def transition(dd: DomainDescription, state: Mapping[str, str],
@@ -348,32 +370,21 @@ def transition_graph(dd: DomainDescription) -> list[TransitionEdge]:
     only ever reached by them.
     """
     sig = dd.signature
-
-    def fkey(fl):
-        return tuple(sorted(fl.items()))
-
-    step = _compile(dd)
-    edges = []
-    nodes = set()
-    idle = []
+    groups = _compile(dd).groups
+    edges, nodes, idle = [], set(), []
     for state in sig.total_states():
         acts = tuple(a for a in sig.actions if state[a] == TRUE)
-        moves = step(state)
+        moves = groups(state)
         fluents = sig.fluent_part(state)
-        if moves[0][0] is None:
+        if not moves[0][1]:
             if acts:
                 idle.append((fluents, acts))
             continue
-        grouped: dict[tuple, list] = {}
-        for o, tgt, _ in moves:
-            entry = grouped.setdefault(fkey(tgt), [tgt, Fraction(0)])
-            entry[1] += o.weight
-        for tgt, weight in grouped.values():
+        for tgt, _, weight in moves:
             edges.append(TransitionEdge(fluents, acts, tgt, weight))
-            nodes.add(fkey(fluents))
-            nodes.add(fkey(tgt))
+            nodes |= {frozenset(fluents.items()), frozenset(tgt.items())}
     for fluents, acts in idle:
-        if fkey(fluents) in nodes:
+        if frozenset(fluents.items()) in nodes:
             edges.append(TransitionEdge(fluents, acts, fluents, Fraction(1)))
     return edges
 

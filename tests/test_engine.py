@@ -1,6 +1,8 @@
 """Semantics engine: enumeration, world checking, queries, transitions."""
 
+import itertools
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,11 +12,16 @@ from pec import (
     And,
     ConcurrentActivation,
     ConditionZero,
+    CProp,
     FALSE,
     FiniteWorld,
     HProposition,
     ILit,
+    Lit,
+    Outcome,
     PProp,
+    RangeError,
+    SignatureError,
     TRUE,
     Trace,
     activated_cprop,
@@ -22,6 +29,7 @@ from pec import (
     conditional,
     entails,
     enumerate_worlds,
+    eval_formula,
     indistinguishable_up_to,
     marginal,
     narrative_eval,
@@ -34,8 +42,10 @@ from pec import (
     transition,
     transition_graph,
     tset,
+    update,
 )
-from helpers import all_worlds, alternating, canonical_trace, micro_domain, random_domain
+from helpers import (all_worlds, alternating, canonical_trace, micro_domain,
+                     random_domain, random_iformula)
 
 
 def coin_world(sig, *pairs):
@@ -160,11 +170,169 @@ class TestEnumerate:
         assert sorted(w.weight for w in worlds) == [Fraction(1, 2)] * 2
         assert all(len(w.world.states) == 1501 for w in worlds)
 
+    def test_long_window_costs_linear_time(self):
+        # a path is linked only where a rule fires, so a long window costs
+        # time linear in maxinst: copying the path at every instant took
+        # 0.65 s on a 2-core x86-64 VM (Python 3.11), the linked walk 0.05 s
+        dd = parse_domain(
+            "maxinst 12000\nfluent F takes-values {a, b}\naction A\n"
+            "initially-one-of {({F=a}, 1)}\n"
+            "A causes-one-of {({F=b}, 1/2)}\nA performed-at 1\n")
+        start = time.process_time()
+        worlds = enumerate_worlds(dd)
+        elapsed = time.process_time() - start
+        assert sorted(w.weight for w in worlds) == [Fraction(1, 2)] * 2
+        assert all(len(w.world.states) == 12001 for w in worlds)
+        assert elapsed < 0.3, f"enumeration took {elapsed:.2f} s"
+
     def test_deterministic_order(self, antibiotic):
         first = enumerate_worlds(antibiotic)
         second = enumerate_worlds(antibiotic)
         assert [w.world for w in first] == [w.world for w in second]
         assert [w.weight for w in first] == [w.weight for w in second]
+
+
+@pytest.fixture(scope="module")
+def walk_pool(coin, antibiotic, keys):
+    rng = random.Random(8)
+    return [coin, antibiotic, keys] + [random_domain(rng) for _ in range(300)]
+
+
+def clash_twins(count):
+    """Random domains plus one rule whose body is a single literal, so
+    some reachable states activate two rules."""
+    rng = random.Random(31)
+    twins = []
+    while len(twins) < count:
+        dd = random_domain(rng)
+        sig = dd.signature
+        if not sig.actions:
+            continue
+        subject = rng.choice(sig.symbols)
+        body = Lit(subject, rng.choice(sig.values_of(subject)))
+        f = sig.fluents[0]
+        head = (Outcome({f: sig.vals[f][0]}, Fraction(1, 2)),
+                Outcome({}, Fraction(1, 2)))
+        twins.append(replace(dd, cprops=dd.cprops + (CProp(body, head),)))
+    return twins
+
+
+def reachable_clashes(dd):
+    """(instant, total state) pairs where two rule bodies hold, over all
+    states reachable with positive weight: a forward search of the
+    definitions that shares no code with the enumerator."""
+    sig = dd.signature
+    choices = [(True,) if p.prob == 1 else (True, False) for p in dd.pprops]
+    clashes = set()
+    for bits in itertools.product(*choices):
+        on = {(p.action, p.instant) for p, b in zip(dd.pprops, bits) if b}
+        frontier = {tuple(sorted(ic.effect.items())) for ic in dd.iprop.head}
+        for i in sig.instants:
+            acts = {a: TRUE if (a, i) in on else FALSE for a in sig.actions}
+            following = set()
+            for fluents in frontier:
+                state = {**dict(fluents), **acts}
+                fired = [c for c in dd.cprops if eval_formula(state, c.body)]
+                if len(fired) > 1:
+                    clashes.add((i, tuple(sorted(state.items()))))
+                heads = fired[0].head if len(fired) == 1 else [Outcome({}, 1)]
+                following |= {tuple(sorted(update(dict(fluents), o.effect).items()))
+                              for o in heads}
+            frontier = following if i < sig.maxinst else set()
+    return clashes
+
+
+def head_index(dd, world, trace):
+    """A trace as the head positions of its chosen outcomes, in time order."""
+    states = world.states
+    return (dd.iprop.head.index(trace.initial),) + tuple(
+        activated_cprop(dd, states[i]).head.index(o)
+        for i, o in sorted(trace.effects.items()))
+
+
+class TestGroupedWalk:
+    def test_each_world_once_with_factored_weight(self, walk_pool):
+        for dd in walk_pool:
+            worlds = enumerate_worlds(dd)
+            assert len({w.world.key() for w in worlds}) == len(worlds)
+            for w in worlds:
+                assert w.weight == narrative_eval(dd, w.world) * sum(
+                    (trace_eval(t) for t in w.traces), Fraction(0))
+                order = [head_index(dd, w.world, t) for t in w.traces]
+                assert order == sorted(set(order))
+
+    def test_clash_twins_raise_where_a_clash_is_reachable(self):
+        raised = 0
+        for dd in clash_twins(200):
+            clashes = reachable_clashes(dd)
+            try:
+                worlds = enumerate_worlds(dd)
+            except ConcurrentActivation as exc:
+                raised += 1
+                assert (exc.instant, tuple(sorted(exc.state.items()))) in clashes
+            else:
+                assert not clashes
+                assert sum(w.weight for w in worlds) == 1
+        assert raised > 20
+
+    def test_queries_equal_sums_over_worlds(self, walk_pool):
+        rng = random.Random(12)
+        for dd in walk_pool:
+            worlds = enumerate_worlds(dd)
+            for _ in range(4):
+                phi = random_iformula(rng, dd.signature)
+                psi = random_iformula(rng, dd.signature)
+                mass = sum((w.weight for w in worlds if w.world.satisfies(phi)),
+                           Fraction(0))
+                assert marginal(dd, phi) == mass
+                given = sum((w.weight for w in worlds if w.world.satisfies(psi)),
+                            Fraction(0))
+                if given == 0:
+                    with pytest.raises(ConditionZero):
+                        conditional(dd, phi, psi)
+                    continue
+                both = sum((w.weight for w in worlds
+                            if w.world.satisfies(And(phi, psi))), Fraction(0))
+                assert conditional(dd, phi, psi) == both / given
+
+    def test_query_errors(self, coin):
+        heads = ILit("Coin", "Heads", 2)
+        unknown = And(heads, ILit("Nope", "x", 1))
+        never = ILit("Coin", "Tails", 0)
+        with pytest.raises(SignatureError, match="state does not assign 'Nope'"):
+            marginal(coin, unknown)
+        with pytest.raises(SignatureError, match="state does not assign 'Nope'"):
+            conditional(coin, unknown, heads)
+        with pytest.raises(SignatureError, match="state does not assign 'Nope'"):
+            conditional(coin, heads, unknown)
+        # phi is evaluated only in worlds where the condition holds
+        with pytest.raises(ConditionZero):
+            conditional(coin, unknown, never)
+        with pytest.raises(RangeError, match="instant 4 outside the window 0..3"):
+            conditional(coin, heads, ILit("Coin", "Heads", 4))
+
+    def test_transitions_sum_outcomes_by_target(self, walk_pool):
+        # keys (index 2) has clashing states, so its graph raises
+        for dd in walk_pool[:2] + walk_pool[3:60]:
+            sig = dd.signature
+            graph = {(tuple(sorted(e.source.items())), e.actions,
+                      tuple(sorted(e.target.items()))): e.weight
+                     for e in transition_graph(dd)}
+            for state in sig.total_states():
+                fluents = sig.fluent_part(state)
+                rule = activated_cprop(dd, state)
+                heads = rule.head if rule else [Outcome({}, 1)]
+                acts = tuple(a for a in sig.actions if state[a] == TRUE)
+                for target in sig.total_fluent_states():
+                    chosen = [o for o in heads if update(fluents, o.effect) == target]
+                    weight = sum((o.weight for o in chosen), Fraction(0))
+                    assert transition(dd, state, target) == weight
+                    assert sorted(o.weight for o in tset(dd, state, target)) == \
+                        sorted(o.weight for o in chosen)
+                    key = (tuple(sorted(fluents.items())), acts,
+                           tuple(sorted(target.items())))
+                    if rule and weight:
+                        assert graph[key] == weight
 
 
 class TestCheckWorld:
