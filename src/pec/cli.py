@@ -96,8 +96,10 @@ def cmd_query(args) -> int:
 
 def cmd_translate(args) -> int:
     dd = _load(args.file)
-    out = args.output or str(Path(args.file).with_suffix(".lp"))
-    Path(out).write_text(emit(dd, with_axioms=args.with_axioms))
+    out = Path(args.output or Path(args.file).with_suffix(".lp"))
+    if out.exists() and out.samefile(args.file):
+        _usage_error(args, f"output {out} is the input file; name another with -o")
+    out.write_text(emit(dd, with_axioms=args.with_axioms))
     return EXIT_OK
 
 

@@ -4,9 +4,9 @@ The model of a domain assigns each well-behaved world a weight: the
 narrative evaluation of the world times the summed evaluations of its
 traces.  Every decision of the form "which rule fires in this total
 state, and where can it go" is made once, by the compiled one-step
-table of ``_compile``: ``enumerate_worlds`` walks its moves grouped by
-target, reaching each world once, the sampler draws from its moves,
-and ``tset``/``transition``/``transition_graph`` read its groups.
+table of ``_compile``, one entry per next fluent state: enumeration
+walks it, reaching each world once, the sampler draws from it, and
+``tset``/``transition``/``transition_graph`` read it.
 ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, used as an oracle against the enumerator;
 marginals, conditionals and restriction are defined on top.
@@ -143,13 +143,13 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     Branches over (a) occur/not-occur for every occurrence statement
     with probability below 1 (probability-1 occurrences are forced, all
     other action atoms false, per the closed world assumption), (b) the
-    initial choice, and (c) the compiled table's moves grouped by next
+    initial choice, and (c) the compiled table's moves, one per next
     fluent state, depth first, so each world is reached once: its weight
     is carried down as a product and its traces are the product of its
     outcome groups.  The returned weights always sum to exactly 1.
     """
     sig = dd.signature
-    groups = _compile(dd).groups
+    moves = _compile(dd)
     choices = [(True,) if p.prob == 1 else (True, False) for p in dd.pprops]
     result = []
     for bits in itertools.product(*choices):
@@ -165,12 +165,12 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
         while stack:
             i, weight, link = stack.pop()
             held = [{**link[4], **rows[i]}]  # the states until a rule fires
-            while i < sig.maxinst and not (moves := groups(held[-1], i))[0][1]:
+            while i < sig.maxinst and not (targets := moves(held[-1], i))[0][1]:
                 i += 1
                 held.append({**link[4], **rows[i]})
             if i < sig.maxinst:
                 stack += [(i + 1, weight * w, (link, held, i, outs, fluents))
-                          for fluents, outs, w in reversed(moves)]
+                          for fluents, outs, w, _ in reversed(targets)]
                 continue
             path = []  # a world: its links back to the initial choice
             while link is not None:
@@ -195,48 +195,35 @@ def _action_rows(sig: DomainSignature, occurring) -> list[dict[str, str]]:
 def _compile(dd: DomainDescription):
     """The one-step table of a domain, filled in as states are reached.
 
-    ``step(state, instant)`` lists the moves out of a total state: one
-    ``(outcome, next fluent state, cumulative weight)`` per outcome of
-    the activated rule, in head order, or ``(None, same fluents, 1)``
-    when no rule fires.  ``step.groups`` groups them by target: ``(next
-    fluent state, outcomes in head order, summed weight)``, or ``(same
-    fluents, (), 1)`` when none fires.  Each view is built on first use
-    and memoised per state for the life of ``step``; a clash raises
+    ``moves(state, instant)`` lists where a total state can go: one
+    ``(next fluent state, outcomes in head order, summed weight, running
+    total)`` per distinct target of the activated rule, in order of first
+    appearance, or ``(same fluents, (), 1, 1)`` when no rule fires.  The
+    list is memoised per state for the life of ``moves``; a clash raises
     ConcurrentActivation at each reach and is never stored.
     """
     sig = dd.signature
+    table: dict[tuple, list] = {}
 
-    def memoised(build):
-        table: dict[tuple, list] = {}
-
-        def lookup(state: Mapping[str, str], instant: int | None = None) -> list:
-            key = tuple(map(state.get, sig.symbols))
-            if key not in table:
-                table[key] = build(state, instant)
+    def moves(state: Mapping[str, str], instant: int | None = None) -> list:
+        key = tuple(map(state.get, sig.symbols))
+        if key in table:
             return table[key]
-        return lookup
-
-    def moves(state, instant):
         c = activated_cprop(dd, state, instant)
         fluents = sig.fluent_part(state)
-        if c is None:
-            return [(None, fluents, Fraction(1))]
-        weights = itertools.accumulate(o.weight for o in c.head)
-        return [(o, update(fluents, o.effect), w) for o, w in zip(c.head, weights)]
-
-    def groups(state, instant):
-        listed = moves(state, instant)
-        if listed[0][0] is None:
-            return [(listed[0][1], (), listed[0][2])]
         found: dict[frozenset, tuple] = {}
-        for o, fluents, _ in listed:
-            found.setdefault(frozenset(fluents.items()), (fluents, []))[1].append(o)
-        return [(f, tuple(outs), sum((o.weight for o in outs[1:]), outs[0].weight))
-                for f, outs in found.values()]
+        for o in c.head if c else ():
+            after = update(fluents, o.effect)
+            found.setdefault(frozenset(after.items()), (after, []))[1].append(o)
+        listed, total = [], 0
+        for after, outs in found.values():
+            weight = sum((o.weight for o in outs[1:]), outs[0].weight)
+            total += weight
+            listed.append((after, tuple(outs), weight, total))
+        table[key] = listed or [(fluents, (), Fraction(1), Fraction(1))]
+        return table[key]
 
-    step = memoised(moves)
-    step.groups = memoised(groups)
-    return step
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +337,7 @@ def tset(dd: DomainDescription, state: Mapping[str, str],
     With no activated rule the only transition is staying put, with the
     unit outcome; anything else is impossible.
     """
-    return [o for fluents, outs, _ in _compile(dd).groups(state)
+    return [o for fluents, outs, *_ in _compile(dd)(state)
             if fluents == target for o in outs or [Outcome({}, Fraction(1))]]
 
 
@@ -370,17 +357,17 @@ def transition_graph(dd: DomainDescription) -> list[TransitionEdge]:
     only ever reached by them.
     """
     sig = dd.signature
-    groups = _compile(dd).groups
+    moves = _compile(dd)
     edges, nodes, idle = [], set(), []
     for state in sig.total_states():
         acts = tuple(a for a in sig.actions if state[a] == TRUE)
-        moves = groups(state)
+        targets = moves(state)
         fluents = sig.fluent_part(state)
-        if not moves[0][1]:
+        if not targets[0][1]:
             if acts:
                 idle.append((fluents, acts))
             continue
-        for tgt, _, weight in moves:
+        for tgt, _, weight, _ in targets:
             edges.append(TransitionEdge(fluents, acts, tgt, weight))
             nodes |= {frozenset(fluents.items()), frozenset(tgt.items())}
     for fluents, acts in idle:
@@ -441,33 +428,29 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
     _check_window(dd, phi)
     rng = random.Random(seed)
     draw = _sampler(dd)
-    hits = 0
-    for _ in range(count):
-        if draw(rng).satisfies(phi):
-            hits += 1
-    return Fraction(hits, count)
+    return Fraction(sum(draw(rng).satisfies(phi) for _ in range(count)), count)
 
 
 def _sampler(dd: DomainDescription):
     """``draw(rng)``: one world, each choice a single ``rng.random()``
-    compared exactly against cumulative weights (the last choice when
-    none exceeds it); certain occurrences and unruled steps draw nothing."""
+    compared exactly against running totals (the last choice when none
+    exceeds it); certain occurrences and single-target steps draw nothing."""
     sig = dd.signature
-    step = _compile(dd)
+    moves = _compile(dd)
     initial = list(zip(dd.iprop.head,
                        itertools.accumulate(o.weight for o in dd.iprop.head)))
 
-    def pick(rng, moves):
+    def pick(rng, choices):
         r = rng.random()
-        return next((m for m in moves if r < m[-1]), moves[-1])
+        return next((c for c in choices if r < c[-1]), choices[-1])
 
     def draw(rng: random.Random) -> FiniteWorld:
         rows = _action_rows(sig, {(p.action, p.instant) for p in dd.pprops
                                   if p.prob == 1 or rng.random() < p.prob})
         states = [{**pick(rng, initial)[0].effect, **rows[0]}]
         for i in range(sig.maxinst):
-            moves = step(states[-1], i)
-            _, fluents, _ = moves[0] if moves[0][0] is None else pick(rng, moves)
+            targets = moves(states[-1], i)
+            fluents = (targets[0] if len(targets) == 1 else pick(rng, targets))[0]
             states.append({**fluents, **rows[i + 1]})
         return FiniteWorld(sig, tuple(states))
 

@@ -492,6 +492,11 @@ def _validate_statements(found: _Statements) -> ValidationReport:
     def check_head(rule, what):
         for o in rule.outcomes:
             check_literals(o.literals, effect=True)
+            named = [subject for subject, _, _ in o.literals]
+            for k, (subject, _, loc) in enumerate(o.literals):
+                if subject in named[:k] and subject not in actions:
+                    issues.append(Issue(
+                        f"fluent {subject} appears twice in one effect", *loc))
             if not 0 < o.weight <= 1:
                 issues.append(Issue(
                     f"outcome weight {o.weight} outside (0,1]", *o.loc))

@@ -178,6 +178,20 @@ class TestTranslate:
         assert (code, err) == (0, "")
         assert out.read_text() == (GOLDEN / "coin.lp").read_text()
 
+    @pytest.mark.parametrize("how", ["default", "-o"])
+    def test_never_overwrites_its_input(self, capsys, tmp_path, how):
+        # a domain file named *.lp is its own default output
+        src = tmp_path / "coin.lp"
+        text = (EXAMPLES / "coin.pec").read_text()
+        src.write_text(text)
+        argv = ["translate", str(src)] + (["-o", f"{tmp_path}/./coin.lp"]
+                                          if how == "-o" else [])
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("pec translate: error: output ")
+        assert src.read_text() == text
+
     def test_keys_occurrence_fact(self, capsys, tmp_path):
         out = tmp_path / "keys.lp"
         run(capsys, "translate", KEYS, "-o", str(out))

@@ -145,6 +145,12 @@ BAD_DOMAINS = [
     ("duplicate effects",
      VALID_PREFIX + "A causes-one-of {({F=b}, 1/2), ({F=b}, 1/2)}\n",
      "duplicate effect"),
+    ("fluent twice in an effect",
+     VALID_PREFIX + "A causes-one-of {({F=a, F=b}, 1)}\n",
+     "line 5, col 25: fluent F appears twice in one effect"),
+    ("fluent twice in an initial outcome",
+     VALID_PREFIX.replace("{F=a}", "{F=a, F=a}"),
+     "line 4, col 26: fluent F appears twice in one effect"),
     ("unknown symbol",
      VALID_PREFIX + "A & G=a causes-one-of {({F=b}, 1)}\n",
      "unknown symbol G"),
