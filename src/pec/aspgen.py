@@ -31,9 +31,6 @@ class TranslationError(PecError):
 class AspProgram:
     clauses: tuple[str, ...]
 
-    def render(self) -> str:
-        return "\n".join(self.clauses) + "\n"
-
 
 def _mangle(name: str) -> str:
     return name[0].lower() + name[1:]

@@ -17,6 +17,7 @@ from .core import (
     ConcurrentActivation,
     ConditionZero,
     format_decimal,
+    format_state,
 )
 from .engine import (
     conditional,
@@ -103,17 +104,13 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def _fluent_label(state) -> str:
-    return ", ".join(f"{f}={v}" for f, v in sorted(state.items()))
-
-
 def cmd_graph(args) -> int:
     dd = _load(args.file)
     edges = transition_graph(dd)
     rows = sorted(
-        (_fluent_label(e.source),
+        (format_state(e.source),
          "{" + ", ".join(sorted(e.actions)) + "}",
-         _fluent_label(e.target),
+         format_state(e.target),
          e.weight)
         for e in edges
     )

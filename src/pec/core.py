@@ -50,7 +50,7 @@ class ConcurrentActivation(PecError):
         where = f" at instant {instant}" if instant is not None else ""
         super().__init__(
             f"more than one causal rule is activated{where} in state "
-            + format_state(state)
+            "{" + format_state(state) + "}"
         )
 
 
@@ -59,8 +59,8 @@ class ConditionZero(PecError):
 
 
 def format_state(state: Mapping[str, str]) -> str:
-    inner = ", ".join(f"{k}={v}" for k, v in sorted(state.items()))
-    return "{" + inner + "}"
+    """``F=v, G=w``: a state's literals sorted by symbol, without braces."""
+    return ", ".join(f"{k}={v}" for k, v in sorted(state.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,6 @@ def _leaves(phi) -> list:
     return found
 
 
-def instants_of(phi: IFormula) -> set[int]:
-    return {leaf.instant for leaf in _leaves(phi)}
-
-
 def at_instant(theta: Formula, instant: int) -> IFormula:
     """Stamp every literal of ``theta`` with ``instant`` (the [theta]@I form)."""
     return fold(theta, lambda lit: ILit(lit.subject, lit.value, instant),
@@ -244,11 +240,11 @@ def eval_formula(state: Mapping[str, str], phi: Formula) -> bool:
 
 
 def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
-    """Satisfaction of an i-formula by a finite world.
+    """Satisfaction of an i-formula by a finite world, in one fold.
 
     ``states`` is the world's state sequence indexed by instant.  An
-    i-literal ``[L]@I`` holds iff ``L`` is in the state at instant ``I``;
-    connectives are structural.
+    i-literal ``[L]@I`` holds iff ``L`` is in the state at instant ``I``,
+    and raises RangeError past the window; connectives are structural.
     """
 
     def leaf(il: ILit) -> bool:
@@ -261,10 +257,14 @@ def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
     return fold(phi, leaf, _TRUTH)
 
 
-def satisfier(phi: IFormula) -> Callable[[Sequence[Mapping[str, str]]], bool]:
-    """``satisfies(·, phi)`` for ``phi`` inside the window, folding ``phi``
-    once per distinct valuation of its literals."""
+def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool]:
+    """``satisfies(·, phi)`` over the window ``0..maxinst``, folding ``phi``
+    once per distinct valuation of its literals; a literal outside the
+    window raises RangeError here, before any world is evaluated."""
     lits = list(dict.fromkeys(_leaves(phi)))
+    for instant in {il.instant for il in lits}:
+        if not 0 <= instant <= maxinst:
+            raise RangeError(f"instant {instant} outside the window 0..{maxinst}")
     memo: dict[tuple, bool] = {}
 
     def holds(states: Sequence[Mapping[str, str]]) -> bool:

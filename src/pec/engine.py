@@ -8,8 +8,9 @@ table of ``_compile``, one entry per next fluent state: enumeration
 walks it, reaching each world once, the sampler draws from it, and
 ``tset``/``transition``/``transition_graph`` read it.
 ``check_world`` stays an independent brute-force judge of the three
-well-behavedness conditions, used as an oracle against the enumerator;
-marginals, conditionals and restriction are defined on top.
+well-behavedness conditions, used as an oracle against the enumerator.
+Queries sum the worlds ``core.satisfier`` accepts, and it checks their
+instants against the window; the sampler leaves that to ``satisfies``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .core import (
     FALSE,
     IFormula,
     Outcome,
-    RangeError,
     TRUE,
     eval_formula,
-    instants_of,
     outcomes_weight,
     satisfier,
     satisfies,
@@ -55,6 +54,9 @@ class FiniteWorld:
     def key(self):
         """Canonical hashable form of the state sequence."""
         return tuple(tuple(sorted(s.items())) for s in self.states)
+
+    def __hash__(self):
+        return hash(self.key())
 
 
 @dataclass(frozen=True)
@@ -290,18 +292,10 @@ def check_world(dd: DomainDescription, world: FiniteWorld) -> WorldReport:
 # Queries
 
 
-def _check_window(dd: DomainDescription, phi: IFormula) -> None:
-    for i in instants_of(phi):
-        if not 0 <= i <= dd.signature.maxinst:
-            raise RangeError(
-                f"instant {i} outside the window 0..{dd.signature.maxinst}")
-
-
 def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     """Probability of an instant-stamped formula: the summed weight of
     the enumerated worlds satisfying it."""
-    _check_window(dd, phi)
-    holds = satisfier(phi)
+    holds = satisfier(phi, dd.signature.maxinst)
     return sum((w.weight for w in enumerate_worlds(dd)
                 if holds(w.world.states)), Fraction(0))
 
@@ -314,14 +308,12 @@ def entails(dd: DomainDescription, h: HProposition) -> bool:
 def conditional(dd: DomainDescription, phi: IFormula,
                 psi: IFormula) -> Fraction:
     """P(phi | psi) = P(phi and psi) / P(psi); ConditionZero if P(psi)=0."""
-    _check_window(dd, phi)
-    _check_window(dd, psi)
-    holds = satisfier(psi)
-    given = [w for w in enumerate_worlds(dd) if holds(w.world.states)]
+    maxinst = dd.signature.maxinst
+    holds, holds_given = satisfier(phi, maxinst), satisfier(psi, maxinst)
+    given = [w for w in enumerate_worlds(dd) if holds_given(w.world.states)]
     denominator = sum((w.weight for w in given), Fraction(0))
     if denominator == 0:
         raise ConditionZero("conditioning formula has probability 0")
-    holds = satisfier(phi)
     numerator = sum((w.weight for w in given if holds(w.world.states)), Fraction(0))
     return numerator / denominator
 
@@ -425,7 +417,6 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
     """Empirical frequency of ``phi`` over ``count`` sampled worlds."""
     if count <= 0:
         raise ValueError("sample count must be positive")
-    _check_window(dd, phi)
     rng = random.Random(seed)
     draw = _sampler(dd)
     return Fraction(sum(draw(rng).satisfies(phi) for _ in range(count)), count)

@@ -144,6 +144,22 @@ class TestTranslate:
         with pytest.raises(TranslationError):
             translate(dd)
 
+    def test_value_collision(self):
+        dd = parse_domain("maxinst 2\nfluent F takes-values {a, A}\n"
+                          "initially-one-of {({F=a}, 1)}\n")
+        with pytest.raises(TranslationError) as err:
+            translate(dd)
+        assert str(err.value) == "values A and a of F collide as a"
+
+    def test_body_that_never_holds_gets_no_rule(self):
+        dd = parse_domain(
+            "maxinst 2\nfluent F takes-values {a, b}\naction A\n"
+            "initially-one-of {({F=a}, 1)}\n"
+            "A & !(A) causes-one-of {({F=b}, 1)}\n")
+        clauses = translate(dd).clauses
+        assert "belongsTo((f,b), id_1_1)." in clauses
+        assert not any(c.startswith("causesOutcome") for c in clauses)
+
     def test_actionless_domain(self):
         dd = parse_domain("maxinst 1\nfluent F takes-values {a, b}\n"
                           "initially-one-of {({F=a}, 1)}\n")

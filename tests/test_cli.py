@@ -1,6 +1,8 @@
 """End-to-end command line behaviour, including exit codes."""
 
+import itertools
 import os
+import shlex
 import subprocess
 import sys
 
@@ -18,6 +20,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands():
+    """The README's ``pec`` commands whose output it states, with that
+    output: a ``pec query`` line's trailing ``# …`` comment, or the
+    ``# …`` lines that follow a ``pec sample`` line."""
+    lines = (ROOT / "README.md").read_text().replace("\\\n", " ").splitlines()
+    found = []
+    for k, line in enumerate(lines):
+        if not line.startswith("pec "):
+            continue
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if argv[0] == "query":
+            found.append((argv, comment.strip() + "\n"))
+        elif argv[0] == "sample":
+            stated = itertools.takewhile(lambda l: l.startswith("# "), lines[k + 1:])
+            found.append((argv, "".join(l[2:] + "\n" for l in stated)))
+    return found
+
+
+README_COMMANDS = readme_commands()
 
 
 def run_module(*argv, **kwargs):
@@ -138,6 +162,11 @@ class TestQuery:
                            "--given", "[Coin=Tails]@0")
         assert code == 2
         assert "probability 0" in err
+
+    def test_query_operand_error(self, capsys):
+        code, out, err = run(capsys, "query", COIN, "-q", "&")
+        assert (code, out) == (1, "")
+        assert err == "pec query: error: line 1, col 1: expected '[' or '('\n"
 
     def test_query_parse_error(self, capsys):
         code, _, err = run(capsys, "query", COIN, "-q", "[Coin=Heads]@9")
@@ -269,6 +298,19 @@ class TestSample:
                            "[Coin=Heads]@2")
         assert code == 1
         assert "sample count must be positive" in err
+
+
+class TestReadme:
+    def test_commands_with_stated_output_are_found(self):
+        assert [argv[0] for argv, _ in README_COMMANDS] == \
+            ["query"] * 3 + ["sample", "query"]
+
+    @pytest.mark.parametrize("argv,stated", README_COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+    def test_prints_what_the_readme_states(self, capsys, monkeypatch, argv, stated):
+        monkeypatch.chdir(ROOT)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, stated)
 
 
 class TestUsage:

@@ -8,6 +8,7 @@ import pytest
 
 from pec import (
     And,
+    DomainSignature,
     FALSE,
     ILit,
     Lit,
@@ -27,6 +28,7 @@ from pec import (
     satisfies,
     update,
 )
+from pec.core import format_state, satisfier
 from helpers import alternating, table_entails, random_formula
 
 
@@ -126,6 +128,13 @@ class TestSatisfies:
     def test_instant_out_of_window(self):
         with pytest.raises(RangeError):
             satisfies(W1, ILit("Coin", "Heads", 4))
+
+    @pytest.mark.parametrize("instant", [-1, 4])
+    def test_satisfier_checks_the_window_up_front(self, instant):
+        phi = Or(ILit("Coin", "Heads", 0), ILit("Coin", "Heads", instant))
+        with pytest.raises(RangeError) as err:
+            satisfier(phi, 3)
+        assert str(err.value) == f"instant {instant} outside the window 0..3"
 
     def test_stamping_matches_pointwise_evaluation(self):
         rng = random.Random(23)
@@ -236,3 +245,36 @@ class TestFormatDecimal:
     ])
     def test_rounding(self, value, digits, expected):
         assert format_decimal(value, digits) == expected
+
+    @pytest.mark.parametrize("value,expected", [
+        (Fraction(5, 2), "2"), (Fraction(7, 2), "4"), (Fraction(-5, 2), "-2"),
+    ])
+    def test_zero_digits(self, value, expected):
+        assert format_decimal(value, 0) == expected
+
+    def test_negative_digits(self):
+        with pytest.raises(ValueError, match="digits must be non-negative"):
+            format_decimal(Fraction(1, 2), -1)
+
+
+class TestSignature:
+    @pytest.mark.parametrize("fluents,actions,vals,maxinst,message", [
+        ((), ("A",), {}, 1, "a signature needs at least one fluent"),
+        (("F",), ("F",), {"F": ("a",)}, 1, "fluents and actions overlap: ['F']"),
+        (("F",), (), {"F": ()}, 1, "fluent F has no declared values"),
+        (("F",), (), {"F": ("a",)}, 0, "maxinst must be at least 1"),
+    ])
+    def test_rejects(self, fluents, actions, vals, maxinst, message):
+        with pytest.raises(SignatureError) as err:
+            DomainSignature(fluents, actions, vals, maxinst)
+        assert str(err.value) == message
+
+    def test_values_of(self):
+        sig = DomainSignature(("F",), ("A",), {"F": ("a", "b")}, 1)
+        assert sig.values_of("F") == ("a", "b")
+        assert sig.values_of("A") == (TRUE, FALSE)
+        with pytest.raises(SignatureError, match="unknown symbol 'G'"):
+            sig.values_of("G")
+
+    def test_format_state_sorts_without_braces(self):
+        assert format_state({"G": "w", "F": "v"}) == "F=v, G=w"

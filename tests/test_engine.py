@@ -48,6 +48,14 @@ from helpers import (all_worlds, alternating, canonical_trace, micro_domain,
                      random_domain, random_iformula)
 
 
+# two rules fire together wherever both actions occur
+CLASH = parse_domain("maxinst 2\nfluent F takes-values {a, b}\n"
+                     "action A1\naction A2\n"
+                     "initially-one-of {({F=a}, 1)}\n"
+                     "A1 causes-one-of {({F=b}, 1)}\n"
+                     "A2 causes-one-of {({F=a}, 1)}\n")
+
+
 def coin_world(sig, *pairs):
     return FiniteWorld(sig, tuple(
         {"Coin": c, "Toss": TRUE if t else FALSE} for c, t in pairs))
@@ -78,12 +86,7 @@ class TestActivation:
         assert activated_cprop(antibiotic, state) is None
 
     def test_concurrent_activation_raises(self):
-        dd = parse_domain(
-            "maxinst 2\nfluent F takes-values {a, b}\n"
-            "action A1\naction A2\n"
-            "initially-one-of {({F=a}, 1)}\n"
-            "A1 causes-one-of {({F=b}, 1)}\n"
-            "A2 causes-one-of {({F=a}, 1)}\n")
+        dd = CLASH
         state = {"F": "a", "A1": TRUE, "A2": TRUE}
         with pytest.raises(ConcurrentActivation):
             activated_cprop(dd, state)
@@ -444,6 +447,32 @@ class TestQueries:
         with pytest.raises(RangeError):
             marginal(coin, ILit("Coin", "Heads", 9))
 
+    def test_window_checked_before_any_world(self):
+        # the first draw of this domain clashes: marginal and conditional
+        # check the window before enumerating, the sampler only when
+        # satisfies reaches the literal, after the draw
+        dd = replace(CLASH, pprops=(PProp("A1", 0, Fraction(1)),
+                                    PProp("A2", 0, Fraction(1))))
+        early = ILit("F", "a", -1)
+        with pytest.raises(RangeError, match=r"^instant -1 outside the window 0\.\.2$"):
+            marginal(dd, early)
+        with pytest.raises(RangeError, match="instant 3 outside"):
+            conditional(dd, ILit("F", "a", 3), early)
+        with pytest.raises(ConcurrentActivation) as err:
+            sample_frequency(dd, early, 10, 1)
+        assert str(err.value) == ("more than one causal rule is activated at "
+                                  "instant 0 in state {A1=true, A2=true, F=a}")
+
+    def test_sampler_reports_the_leftmost_bad_literal(self, coin):
+        # satisfies checks each literal as its fold reaches it
+        late, unknown = ILit("Coin", "Heads", 4), ILit("Nope", "x", 1)
+        with pytest.raises(SignatureError, match="state does not assign 'Nope'"):
+            sample_frequency(coin, And(unknown, late), 10, 1)
+        with pytest.raises(RangeError, match="instant -1 outside"):
+            sample_frequency(coin, And(ILit("Coin", "Heads", -1), late), 10, 1)
+        with pytest.raises(RangeError, match="instant 4 outside"):
+            marginal(coin, And(unknown, late))
+
 
 class TestTransitions:
     def test_tset_merging_targets(self, antibiotic):
@@ -549,6 +578,21 @@ class TestRestriction:
         assert len(matches) == 1
         assert matches[0].world.fluent_state(3) == {"Coin": "Heads"}
 
+    @pytest.mark.parametrize("mode,instant,message", [
+        ("before", 2, "mode must be 'leq', 'lt' or 'empty', not 'before'"),
+        ("lt", None, "mode 'lt' needs an instant"),
+    ])
+    def test_bad_arguments(self, coin, mode, instant, message):
+        with pytest.raises(ValueError) as err:
+            restrict(coin, mode, instant)
+        assert str(err.value) == message
+
+    def test_actions_before_the_instant_distinguish(self, coin):
+        tossed = coin_world(coin.signature, ("Heads", True), ("Heads", False))
+        idle = coin_world(coin.signature, ("Heads", False), ("Heads", False))
+        assert indistinguishable_up_to(tossed, idle, 0)
+        assert not indistinguishable_up_to(tossed, idle, 1)
+
     def test_indistinguishability(self, coin, coin_worlds):
         w1, w2, w3 = coin_worlds
         w_prime = coin_world(coin.signature, ("Heads", False), ("Heads", True),
@@ -562,6 +606,12 @@ class TestRestriction:
 class TestSampling:
     def test_seed_determinism(self, antibiotic):
         assert sample_world(antibiotic, 42) == sample_world(antibiotic, 42)
+
+    def test_worlds_hash_by_their_states(self, coin):
+        assert len({w.world for w in enumerate_worlds(coin)}) == 2
+        first, again = sample_world(coin, 1), sample_world(coin, 1)
+        assert first == again and first is not again
+        assert hash(first) == hash(again) == hash(first.key())
 
     def test_silent_domain_samples_constant_world(self, antibiotic):
         world = sample_world(restrict(antibiotic, "empty"), 3)

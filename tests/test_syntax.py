@@ -167,6 +167,27 @@ BAD_DOMAINS = [
      "maxinst 0\nfluent F takes-values {a, b}\n"
      "initially-one-of {({F=a}, 1)}\n",
      "maxinst must be at least 1"),
+    ("duplicate maxinst",
+     VALID_PREFIX + "maxinst 4\n",
+     "line 5, col 1: duplicate maxinst statement"),
+    ("duplicate value in one declaration",
+     VALID_PREFIX.replace("{a, b}", "{a, b, a}"),
+     "line 2, col 1: duplicate value a in declaration of F"),
+    ("duplicate action",
+     VALID_PREFIX + "action A\n",
+     "line 5, col 1: duplicate action declaration A"),
+    ("fluent and action",
+     VALID_PREFIX + "action F\n",
+     "line 1, col 1: F is declared as both fluent and action"),
+    ("outcome weight zero",
+     VALID_PREFIX + "A causes-one-of {({F=b}, 0), ({}, 1)}\n",
+     "line 5, col 18: outcome weight 0 outside (0,1]"),
+    ("outcome weight above one",
+     VALID_PREFIX + "A causes-one-of {({F=b}, 3/2)}\n",
+     "line 5, col 18: outcome weight 3/2 outside (0,1]"),
+    ("occurrence of a fluent",
+     VALID_PREFIX + "F performed-at 1\n",
+     "line 5, col 1: F is a fluent, not an action"),
 ]
 
 
@@ -214,6 +235,16 @@ class TestSyntaxErrors:
         with pytest.raises(PecSyntaxError) as err:
             parse_domain(text)
         assert "line" in str(err.value)
+
+    @pytest.mark.parametrize("weight,message,col", [
+        ("1/0", "zero denominator", 28),
+        ("x", "expected a probability", 26),
+    ])
+    def test_bad_weight(self, weight, message, col):
+        with pytest.raises(PecSyntaxError) as err:
+            parse_domain(VALID_PREFIX + f"A causes-one-of {{({{F=b}}, {weight})}}\n")
+        assert str(err.value) == f"line 5, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (5, col)
 
     def test_location_points_at_the_offending_line(self):
         text = "maxinst 3\nfluent F takes-values {a, b}\n  fluent ? oops\n"
