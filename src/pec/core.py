@@ -358,11 +358,11 @@ def format_decimal(value: Fraction, digits: int = 6) -> str:
     """
     if digits < 0:
         raise ValueError("digits must be non-negative")
-    sign = "-" if value < 0 else ""
     p, q = abs(value.numerator), value.denominator
     scaled, rem = divmod(p * 10**digits, q)
     if 2 * rem > q or (2 * rem == q and scaled % 2 == 1):
         scaled += 1
+    sign = "-" if value < 0 and scaled else ""
     text = str(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text

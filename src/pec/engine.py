@@ -198,11 +198,11 @@ def _compile(dd: DomainDescription):
     """The one-step table of a domain, filled in as states are reached.
 
     ``moves(state, instant)`` lists where a total state can go: one
-    ``(next fluent state, outcomes in head order, summed weight, running
-    total)`` per distinct target of the activated rule, in order of first
-    appearance, or ``(same fluents, (), 1, 1)`` when no rule fires.  The
-    list is memoised per state for the life of ``moves``; a clash raises
-    ConcurrentActivation at each reach and is never stored.
+    ``(next fluent state, outcomes in head order, summed weight, _cut of
+    the running total)`` per distinct target of the activated rule, in
+    order of first appearance, or ``(same fluents, (), 1, 1.0)`` when no
+    rule fires.  The list is memoised per state for the life of ``moves``;
+    a clash raises ConcurrentActivation at each reach and is never stored.
     """
     sig = dd.signature
     table: dict[tuple, list] = {}
@@ -221,11 +221,19 @@ def _compile(dd: DomainDescription):
         for after, outs in found.values():
             weight = sum((o.weight for o in outs[1:]), outs[0].weight)
             total += weight
-            listed.append((after, tuple(outs), weight, total))
-        table[key] = listed or [(fluents, (), Fraction(1), Fraction(1))]
+            listed.append((after, tuple(outs), weight, _cut(total)))
+        table[key] = listed or [(fluents, (), Fraction(1), 1.0)]
         return table[key]
 
     return moves
+
+
+def _cut(x: Fraction) -> float:
+    """A float c with ``r < c`` exactly when ``r < x`` for each ``r =
+    random.random()``: r is k / 2**53 for an integer k, and k / 2**53 <
+    n / d exactly when k < ceil(n * 2**53 / d), a bound that over 2**53
+    (capped at 1) is an exact float."""
+    return min(-(-x.numerator * 2**53 // x.denominator), 2**53) / 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +432,22 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
 
 def _sampler(dd: DomainDescription):
     """``draw(rng)``: one world, each choice a single ``rng.random()``
-    compared exactly against running totals (the last choice when none
+    compared against the ``_cut`` of a probability or running total, which
+    decides as the exact ``Fraction`` would (the last choice when none
     exceeds it); certain occurrences and single-target steps draw nothing."""
     sig = dd.signature
     moves = _compile(dd)
-    initial = list(zip(dd.iprop.head,
-                       itertools.accumulate(o.weight for o in dd.iprop.head)))
+    initial = [(o, _cut(total)) for o, total in zip(
+        dd.iprop.head, itertools.accumulate(o.weight for o in dd.iprop.head))]
+    occurs = [(p.action, p.instant, p.prob == 1, _cut(p.prob)) for p in dd.pprops]
 
     def pick(rng, choices):
         r = rng.random()
         return next((c for c in choices if r < c[-1]), choices[-1])
 
     def draw(rng: random.Random) -> FiniteWorld:
-        rows = _action_rows(sig, {(p.action, p.instant) for p in dd.pprops
-                                  if p.prob == 1 or rng.random() < p.prob})
+        rows = _action_rows(sig, {(a, i) for a, i, sure, cut in occurs
+                                  if sure or rng.random() < cut})
         states = [{**pick(rng, initial)[0].effect, **rows[0]}]
         for i in range(sig.maxinst):
             targets = moves(states[-1], i)

@@ -18,6 +18,7 @@ from pec import (
     CProp,
     DomainDescription,
     DomainSignature,
+    FALSE,
     FiniteWorld,
     ILit,
     IProp,
@@ -29,8 +30,10 @@ from pec import (
     PProp,
     TRUE,
     VProp,
+    activated_cprop,
     parse_domain,
     render,
+    update,
 )
 
 
@@ -101,6 +104,40 @@ def canonical_trace(tr):
             (i, tuple(sorted(o.effect.items())), o.weight)
             for i, o in tr.effects.items())),
     )
+
+
+def reference_sample(dd, rng: random.Random) -> FiniteWorld:
+    """One world drawn in the sampler's order, the slow way: each
+    ``rng.random()`` is compared with exact ``Fraction`` running totals,
+    and each step is rebuilt from the activated rule's outcomes, grouped
+    by target fluent state in order of first appearance (the grouping
+    sets the intervals a draw falls in)."""
+    def choose(groups):
+        r, total = Fraction(rng.random()), Fraction(0)
+        for value, weight in groups:
+            total += weight
+            if r < total:
+                return value
+        return groups[-1][0]
+
+    sig = dd.signature
+    occurring = {(p.action, p.instant) for p in dd.pprops
+                 if p.prob == 1 or Fraction(rng.random()) < p.prob}
+    rows = [{a: TRUE if (a, i) in occurring else FALSE for a in sig.actions}
+            for i in sig.instants]
+    fluents = choose([(dict(o.effect), o.weight) for o in dd.iprop.head])
+    states = [{**fluents, **rows[0]}]
+    for i in range(sig.maxinst):
+        rule = activated_cprop(dd, states[-1], i)
+        groups = {}
+        for o in rule.head if rule else ():
+            after = update(fluents, o.effect)
+            key = frozenset(after.items())
+            groups[key] = (after, groups.get(key, (None, 0))[1] + o.weight)
+        groups = list(groups.values()) or [(fluents, Fraction(1))]
+        fluents = groups[0][0] if len(groups) == 1 else choose(groups)
+        states.append({**fluents, **rows[i + 1]})
+    return FiniteWorld(sig, tuple(states))
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,15 @@ class TestFormatDecimal:
         (Fraction(3, 8), 2, "0.38"),
         (Fraction(1), 6, "1.000000"),
         (Fraction(0), 2, "0.00"),
+        (Fraction(-1, 3000), 2, "0.00"),   # no sign on a rounded zero
+        (Fraction(-1, 150), 2, "-0.01"),
     ])
     def test_rounding(self, value, digits, expected):
         assert format_decimal(value, digits) == expected
 
     @pytest.mark.parametrize("value,expected", [
         (Fraction(5, 2), "2"), (Fraction(7, 2), "4"), (Fraction(-5, 2), "-2"),
+        (Fraction(-1, 3), "0"), (Fraction(-1, 2), "0"), (Fraction(-3, 2), "-2"),
     ])
     def test_zero_digits(self, value, expected):
         assert format_decimal(value, 0) == expected

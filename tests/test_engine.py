@@ -44,8 +44,9 @@ from pec import (
     tset,
     update,
 )
+from pec.engine import _cut
 from helpers import (all_worlds, alternating, canonical_trace, micro_domain,
-                     random_domain, random_iformula)
+                     random_domain, random_iformula, reference_sample)
 
 
 # two rules fire together wherever both actions occur
@@ -642,6 +643,33 @@ class TestSampling:
             weights = {w.world.key(): w.weight for w in enumerate_worlds(dd)}
             for seed in range(20):
                 assert weights.get(sample_world(dd, seed).key(), 0) > 0
+
+    def test_samples_match_the_exact_reference(self, walk_pool):
+        for dd in walk_pool:
+            for seed in range(20):
+                assert sample_world(dd, seed) == reference_sample(dd, random.Random(seed))
+
+    # the sampler's float cuts are exact only because random() draws from
+    # the lattice k / 2**53; a Python whose random() left it would fail here
+    def test_random_draws_lie_on_the_lattice(self):
+        for seed in (0, 1, 7, 2**40):
+            rng = random.Random(seed)
+            for _ in range(2500):
+                k = rng.random() * 2**53
+                assert k.is_integer() and 0 <= k < 2**53
+
+    def test_cut_is_exact(self):
+        rng = random.Random(11)
+        xs = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(1, 2**53),
+              Fraction(2**53 - 1, 2**53)]
+        for _ in range(3000):
+            d = rng.choice([rng.randint(1, 100), rng.randint(2**53, 2**80),
+                            2**rng.randint(0, 60)])
+            xs.append(Fraction(rng.randint(1, d), d))
+        for x in xs:
+            threshold = -(-x.numerator * 2**53 // x.denominator)
+            for k in (threshold - 1, threshold, threshold + 1):
+                assert (k / 2**53 < _cut(x)) == (Fraction(k, 2**53) < x), (x, k)
 
     def test_positive_count_required(self, coin):
         phi = parse_query("[Coin=Heads]@2", coin.signature)
