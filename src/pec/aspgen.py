@@ -4,9 +4,10 @@ Each domain compiles to ground facts and rules over the predicates
 ``fluent/1``, ``action/1``, ``instant/1``, ``possVal/2``, ``belongsTo/2``,
 ``initialCondition/1``, ``causesOutcome/2`` and ``performed/3``, plus a
 fixed bank of domain-independent axioms whose stable models are exactly
-the traces of the domain.  Probabilities are carried as reduced-fraction
-tokens (``49/100``) inside terms; evaluating them is the downstream
-consumer's concern.
+the traces of the domain.  Rule bodies go out in disjunctive normal
+form, read off ``core.open_branches``.  Probabilities are carried as
+reduced-fraction tokens (``49/100``) inside terms; evaluating them is the
+downstream consumer's concern.  Clauses are plain tuples of strings.
 
 Identifiers are emitted with their first letter lowercased, following
 logic programming convention; outcome constants are ``id_N_J`` where N
@@ -16,20 +17,12 @@ distribution) and J the outcome within its head.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-
-from .core import And, Formula, Implies, Lit, Not, Or, PecError, fold
+from .core import Formula, Lit, PecError, open_branches
 from .syntax import DomainDescription
 
 
 class TranslationError(PecError):
     """The description cannot be rendered (identifier collision)."""
-
-
-@dataclass(frozen=True)
-class AspProgram:
-    clauses: tuple[str, ...]
 
 
 def _mangle(name: str) -> str:
@@ -71,48 +64,19 @@ def to_dnf(phi: Formula) -> list[list[tuple[Lit, bool]]]:
     """Flatten a formula into a disjunction of signed-literal conjunctions.
 
     Literals are treated as independent atoms; the result evaluates
-    identically to the input under every assignment.  Disjuncts appear
-    in left-to-right expansion order; conjunctions containing a literal
-    both positively and negatively are dropped.
+    identically to the input under every assignment.  Disjuncts are the
+    open branches of ``core.open_branches``, in left-to-right expansion
+    order; conjunctions containing a literal both positively and
+    negatively are dropped.
     """
-    # Negations go down to the literals first, so that the DNF is built
-    # for the one polarity needed: each node folds to the pair (its NNF,
-    # its negation's NNF), with (literal, sign) pairs as leaves.
-    nnf = fold(phi, lambda lit: ((lit, True), (lit, False)), _NNF)[0]
-    disjuncts = []
-    for raw in fold(nnf, lambda signed: [[signed]], _DNF):
-        cleaned = _dedupe(raw)
-        if cleaned is not None:
-            disjuncts.append(cleaned)
-    return disjuncts
-
-
-_NNF = {
-    Not: lambda a: (a[1], a[0]),
-    And: lambda a, b: (And(a[0], b[0]), Or(a[1], b[1])),
-    Or: lambda a, b: (Or(a[0], b[0]), And(a[1], b[1])),
-    Implies: lambda a, b: (Or(a[1], b[0]), And(a[0], b[1])),
-}
-_DNF = {And: lambda lefts, rights: [l + r for l in lefts for r in rights],
-        Or: operator.add}
-
-
-def _dedupe(conj):
-    seen: dict[Lit, bool] = {}
-    for lit, positive in conj:
-        if lit in seen:
-            if seen[lit] != positive:
-                return None  # contradictory under atom semantics
-        else:
-            seen[lit] = positive
-    return list(seen.items())
+    return [list(branch.items()) for branch in open_branches(phi)]
 
 
 # ---------------------------------------------------------------------------
 # Domain-dependent clauses
 
 
-def translate(dd: DomainDescription) -> AspProgram:
+def translate(dd: DomainDescription) -> tuple[str, ...]:
     """Domain-dependent clauses: sorts, value declarations, the initial
     distribution, one outcome clause group per causal rule outcome, and
     the narrative facts."""
@@ -154,7 +118,7 @@ def translate(dd: DomainDescription) -> AspProgram:
         clauses.append(
             f"performed({names[p.action]},{p.instant},{p.prob}).")
 
-    return AspProgram(tuple(clauses))
+    return tuple(clauses)
 
 
 def _body_text(body: Formula, names) -> str | None:
@@ -210,17 +174,17 @@ _AXIOMS = (
 )
 
 
-def domain_independent() -> AspProgram:
+def domain_independent() -> tuple[str, ...]:
     """The fixed axiom bank shared by every translated domain."""
-    return AspProgram(_AXIOMS)
+    return _AXIOMS
 
 
 def emit(dd: DomainDescription, with_axioms: bool = False) -> str:
     """Full program text, one clause per line, byte-stable per domain."""
     lines = ["% domain-dependent clauses"]
-    lines.extend(translate(dd).clauses)
+    lines.extend(translate(dd))
     if with_axioms:
         lines.append("")
         lines.append("% domain-independent clauses")
-        lines.extend(domain_independent().clauses)
+        lines.extend(domain_independent())
     return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@ Defines the domain signature (fluents, actions, value sets, the finite
 instant window), literals and formulas over them, states and partial
 fluent states, weighted outcomes, and the small algebra everything else
 is built on: state update, formula evaluation, satisfaction of
-instant-stamped formulas, and propositional (Herbrand) entailment.
+instant-stamped formulas, and a tableau that decides propositional
+(Herbrand) entailment and gives the ASP emitter its DNF.
 
 States are plain ``dict[str, str]`` mappings from symbol to value;
 partial fluent states are the same with only some fluents present.
@@ -275,7 +276,40 @@ def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool
     return holds
 
 
-_BLOCK_BITS = 16  # truth-table rows per block: 2**16, so masks stay 8 KiB
+_NNF = {
+    Not: lambda a: (a[1], a[0]),
+    And: lambda a, b: (And(a[0], b[0]), Or(a[1], b[1])),
+    Or: lambda a, b: (Or(a[0], b[0]), And(a[1], b[1])),
+    Implies: lambda a, b: (Or(a[1], b[0]), And(a[0], b[1])),
+}
+
+
+def open_branches(phi: Formula):
+    """The open branches of an analytic tableau for ``phi``, lazily.
+
+    Literals are independent atoms.  The tableau expands ``phi``'s
+    negation normal form depth first and left to right, on explicit
+    stacks.  A branch is a dict from literal to sign in order of first
+    occurrence, and closes when a literal turns up with both signs.  The
+    open branches are a DNF of ``phi``, in product-expansion order.
+    """
+    # each node folds to the pair (its NNF, its negation's NNF)
+    nnf = fold(phi, lambda lit: ((lit, True), (lit, False)), _NNF)[0]
+    todo = [({}, (nnf, None))]  # (branch, its pending nodes as a linked list)
+    while todo:
+        branch, pending = todo.pop()
+        while pending is not None:
+            node, pending = pending
+            kind = type(node)
+            if kind is And:
+                pending = (node.left, (node.right, pending))
+            elif kind is Or:
+                todo.append((dict(branch), (node.right, pending)))
+                pending = (node.left, pending)
+            elif branch.setdefault(node[0], node[1]) != node[1]:
+                break
+        else:
+            yield branch
 
 
 def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
@@ -283,26 +317,12 @@ def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
 
     Value exclusivity is deliberately not assumed: ``F=V`` and ``F=V'``
     are independent propositions here, so e.g. their conjunction is
-    satisfiable.  Decided over the truth table of the mentioned
-    literals: each formula folds to the bitmask of the rows it holds
-    in, a block of rows at a time.
+    satisfiable.  ``theta`` entails ``theta_prime`` when the tableau for
+    ``!theta_prime & theta`` closes.  The goal comes first, so a body with
+    the goal as a conjunct is decided in linear time; the cost grows with
+    the ``|`` forks searched, not with the number of distinct literals.
     """
-    atoms = list(dict.fromkeys(_leaves(theta) + _leaves(theta_prime)))
-    width = min(len(atoms), _BLOCK_BITS)
-    full = (1 << (1 << width)) - 1
-    # row r of a block gives atom k < width the value of bit k of r
-    in_block = [full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
-                for k in range(width)]
-    ops = {Not: lambda a: full ^ a, And: int.__and__, Or: int.__or__,
-           Implies: lambda a, b: (full ^ a) | b}
-    for block in range(1 << (len(atoms) - width)):
-        # atoms past the block width are constant within a block
-        masks = in_block + [full if block >> k & 1 else 0
-                            for k in range(len(atoms) - width)]
-        row = dict(zip(atoms, masks))
-        if fold(theta, row.__getitem__, ops) & ~fold(theta_prime, row.__getitem__, ops):
-            return False
-    return True
+    return next(open_branches(And(Not(theta_prime), theta)), None) is None
 
 
 # ---------------------------------------------------------------------------

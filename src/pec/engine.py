@@ -205,10 +205,11 @@ def _compile(dd: DomainDescription):
     a clash raises ConcurrentActivation at each reach and is never stored.
     """
     sig = dd.signature
+    symbols = sig.symbols
     table: dict[tuple, list] = {}
 
     def moves(state: Mapping[str, str], instant: int | None = None) -> list:
-        key = tuple(map(state.get, sig.symbols))
+        key = tuple(map(state.get, symbols))
         if key in table:
             return table[key]
         c = activated_cprop(dd, state, instant)

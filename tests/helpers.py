@@ -77,6 +77,40 @@ def table_entails(theta, theta_prime):
     return True
 
 
+def reference_dnf(phi):
+    """DNF by product expansion over the negation normal form: disjuncts
+    in left-to-right expansion order, duplicates kept, each conjunction
+    cut to the first occurrence of each literal and dropped when it holds
+    a literal with both signs."""
+    disjuncts = []
+    for conj in _product_dnf(phi, True):
+        seen = {}
+        for lit, positive in conj:
+            if seen.setdefault(lit, positive) != positive:
+                break
+        else:
+            disjuncts.append(list(seen.items()))
+    return disjuncts
+
+
+def _product_dnf(phi, positive):
+    if isinstance(phi, (Lit, ILit)):
+        return [[(phi, positive)]]
+    if isinstance(phi, Not):
+        return _product_dnf(phi.arg, not positive)
+    if isinstance(phi, Implies):  # !a | b, or a & !b when negated
+        left, right = (_product_dnf(phi.left, not positive),
+                       _product_dnf(phi.right, positive))
+        conjunctive = not positive
+    else:  # by De Morgan, a negated & is an | and a negated | an &
+        left, right = (_product_dnf(phi.left, positive),
+                       _product_dnf(phi.right, positive))
+        conjunctive = isinstance(phi, And) == positive
+    if conjunctive:
+        return [l + r for l in left for r in right]
+    return left + right
+
+
 def alternating(phi, other, depth):
     """``phi`` under ``depth`` levels alternating ``(... & phi)`` and
     ``(other | ...)``, outermost last."""

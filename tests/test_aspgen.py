@@ -21,7 +21,7 @@ from pec import (
     translate,
 )
 from conftest import GOLDEN, EXAMPLES
-from helpers import random_formula, table_atoms, table_eval
+from helpers import random_formula, reference_dnf, table_atoms, table_eval
 
 
 def dnf_eval(disjuncts, row):
@@ -60,10 +60,20 @@ class TestToDnf:
                 row = dict(zip(atoms, bits))
                 assert dnf_eval(disjuncts, row) == table_eval(phi, row)
 
+    def test_matches_product_expansion(self):
+        # the same list as a product expansion, disjunct order, duplicate
+        # disjuncts and dropped contradictions included
+        rng = random.Random(1201)
+        sig = DomainSignature(("F", "G"), ("A",),
+                              {"F": ("a", "b", "c"), "G": ("a", "b")}, 1)
+        for _ in range(1000):
+            phi = random_formula(rng, sig, depth=rng.randint(1, 6))
+            assert to_dnf(phi) == reference_dnf(phi)
+
 
 class TestTranslate:
     def test_coin_clauses(self, coin):
-        clauses = translate(coin).clauses
+        clauses = translate(coin)
         assert "#const maxinst=3." in clauses
         assert "fluent(coin)." in clauses
         assert "action(toss)." in clauses
@@ -77,12 +87,12 @@ class TestTranslate:
         assert "performed(toss,1,1)." in clauses
 
     def test_empty_effect_has_no_membership_facts(self, coin):
-        clauses = translate(coin).clauses
+        clauses = translate(coin)
         assert not any("belongsTo" in c and "id_1_3" in c for c in clauses)
         assert any(c.startswith("causesOutcome((id_1_3,") for c in clauses)
 
     def test_antibiotic_clauses(self, antibiotic):
-        clauses = translate(antibiotic).clauses
+        clauses = translate(antibiotic)
         assert "belongsTo((bacteria,weak), id_0_1)." in clauses
         assert "initialCondition((id_0_1, 9/10))." in clauses
         assert "belongsTo((bacteria,absent), id_2_1)." in clauses
@@ -90,12 +100,12 @@ class TestTranslate:
         assert "performed(takesMedicine,3,1)." in clauses
 
     def test_keys_occurrence_probability(self, keys):
-        clauses = translate(keys).clauses
+        clauses = translate(keys)
         assert "performed(pickupKeys,1,99/100)." in clauses
         assert "performed(goOut,2,1)." in clauses
 
     def test_outcome_ids_are_distinct_and_complete(self, antibiotic):
-        clauses = translate(antibiotic).clauses
+        clauses = translate(antibiotic)
         ids = re.findall(r"id_\d+_\d+", " ".join(clauses))
         distinct = set(ids)
         expected = {f"id_0_{j+1}" for j in range(len(antibiotic.iprop.head))}
@@ -105,7 +115,7 @@ class TestTranslate:
 
     def test_clause_accounting(self, coin, antibiotic, keys):
         for dd in (coin, antibiotic, keys):
-            clauses = translate(dd).clauses
+            clauses = translate(dd)
             n_belongs = sum(1 for c in clauses if c.startswith("belongsTo"))
             outcome_sizes = sum(len(o.effect) for o in dd.iprop.head)
             outcome_sizes += sum(len(o.effect)
@@ -122,7 +132,7 @@ class TestTranslate:
             "maxinst 2\nfluent F takes-values {a, b}\naction A\n"
             "initially-one-of {({F=a}, 1)}\n"
             "A & (F=a | F=b) causes-one-of {({F=b}, 1)}\n")
-        rule = [c for c in translate(dd).clauses
+        rule = [c for c in translate(dd)
                 if c.startswith("causesOutcome")][0]
         assert rule == ("causesOutcome((id_1_1, 1), I) :- "
                         "holds(((a,true), I)), holds(((f,a), I)); "
@@ -133,7 +143,7 @@ class TestTranslate:
             "maxinst 2\nfluent F takes-values {a, b, c}\naction A\n"
             "initially-one-of {({F=a}, 1)}\n"
             "A & !F=a causes-one-of {({F=a}, 1)}\n")
-        rule = [c for c in translate(dd).clauses
+        rule = [c for c in translate(dd)
                 if c.startswith("causesOutcome")][0]
         assert "not holds(((f,a), I))" in rule
 
@@ -156,7 +166,7 @@ class TestTranslate:
             "maxinst 2\nfluent F takes-values {a, b}\naction A\n"
             "initially-one-of {({F=a}, 1)}\n"
             "A & !(A) causes-one-of {({F=b}, 1)}\n")
-        clauses = translate(dd).clauses
+        clauses = translate(dd)
         assert "belongsTo((f,b), id_1_1)." in clauses
         assert not any(c.startswith("causesOutcome") for c in clauses)
 
@@ -164,7 +174,7 @@ class TestTranslate:
         dd = parse_domain("maxinst 1\nfluent F takes-values {a, b}\n"
                           "initially-one-of {({F=a}, 1)}\n")
         assert not any(c.startswith("performed")
-                       for c in translate(dd).clauses)
+                       for c in translate(dd))
 
 
 class TestEmit:
@@ -185,14 +195,14 @@ class TestEmit:
 
 class TestDomainIndependent:
     def test_world_generator_choice_rule(self):
-        clauses = domain_independent().clauses
+        clauses = domain_independent()
         assert ("1{ holds(((X,V),I)) : iLiteral(((X,V),I)) }1 :- "
                 "instant(I), fluentOrAction(X).") in clauses
 
     def test_cwa_constraint(self):
         assert any("not possiblyPerformed(A,I)" in c
-                   for c in domain_independent().clauses)
+                   for c in domain_independent())
 
     def test_persistence_guard(self):
         assert any("not inOcc(I)" in c and c.startswith(":-")
-                   for c in domain_independent().clauses)
+                   for c in domain_independent())

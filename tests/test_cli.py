@@ -59,6 +59,23 @@ class TestCheck:
         assert "valid domain description" in out
         assert "fluents 1" in out
 
+    def test_forty_fluent_rule_bodies(self, capsys, tmp_path):
+        # condition (i) compares two 41-literal bodies: 2**41 truth-table
+        # rows, but a tableau with at most 41 branches per comparison
+        fluents = [f"F{i}" for i in range(40)]
+        src = tmp_path / "wide.pec"
+        src.write_text("\n".join(
+            ["maxinst 2", "action Go"]
+            + [f"fluent {f} takes-values {{true, false}}" for f in fluents]
+            + ["initially-one-of {({" + ", ".join(f"!{f}" for f in fluents) + "}, 1)}",
+               "Go & " + " & ".join(fluents) + " causes-one-of {({!F0}, 1)}",
+               "Go & " + " & ".join(f"!{f}" for f in fluents)
+               + " causes-one-of {({F0}, 1)}",
+               "Go performed-at 1"]) + "\n")
+        code, out, _ = run(capsys, "check", str(src))
+        assert code == 0
+        assert "valid domain description" in out
+
     def test_missing_initial_distribution(self, capsys, tmp_path):
         bad = tmp_path / "bad.pec"
         bad.write_text("maxinst 2\nfluent F takes-values {a, b}\n")

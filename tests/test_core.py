@@ -182,9 +182,9 @@ class TestHerbrandEntails:
         rng = random.Random(97)
         from pec import DomainSignature
         sig = DomainSignature(("F", "G"), ("A",),
-                              {"F": ("a", "b"), "G": ("a", "b")}, 1)
-        triples = [(random_formula(rng, sig, 2), random_formula(rng, sig, 2),
-                    random_formula(rng, sig, 2)) for _ in range(60)]
+                              {"F": ("a", "b", "c"), "G": ("a", "b")}, 1)
+        triples = [tuple(random_formula(rng, sig, rng.randint(1, 4))
+                         for _ in range(3)) for _ in range(60)]
         for a, b, c in triples:
             ab, bc, ac = (herbrand_entails(a, b), herbrand_entails(b, c),
                           herbrand_entails(a, c))
@@ -192,9 +192,11 @@ class TestHerbrandEntails:
             if ab and bc:
                 assert ac
 
-    def test_twenty_literal_conjunction(self):
-        # 2**20 truth-table rows, decided a block of rows at a time
-        lits = [Lit(f"X{i}", TRUE) for i in range(20)]
+    @pytest.mark.parametrize("n", [20, 40, 1500])
+    def test_long_conjunction(self, n):
+        # 2**n truth-table rows, but the tableau for a conjunction has at
+        # most n branches, each closed or opened in one pass over the chain
+        lits = [Lit(f"X{i}", TRUE) for i in range(n)]
         chain = lits[0]
         for lit in lits[1:]:
             chain = And(chain, lit)
