@@ -7,6 +7,11 @@ is built on: state update, formula evaluation, satisfaction of
 instant-stamped formulas, and a tableau that decides propositional
 (Herbrand) entailment and gives the ASP emitter its DNF.
 
+Formula nodes are hash-consed in the weak table ``_NODES``: equal formulas
+are one object, compared and hashed by identity, and leave the table with
+their domain.  Each node memoises its NNF and its negation's, so the
+tableau folds a rule body once, not once per pair of rules compared.
+
 States are plain ``dict[str, str]`` mappings from symbol to value;
 partial fluent states are the same with only some fluents present.
 Probabilities are exact ``fractions.Fraction`` values throughout.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -133,44 +139,63 @@ class DomainSignature:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Lit:
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Node:
+    """An interned formula node (hash-consing: Filliatre & Conchon 2006)."""
+
+    __slots__ = ("_nnf", "__weakref__")  # a subclass's own slots are its fields
+
+    def __new__(cls, *args):
+        if len(args) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} arguments")
+        node = _NODES.get(key := (cls, *args))  # interned children hash in O(1)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, args):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        from .syntax import format_formula  # syntax imports this module
+        return f"{type(self).__name__}({format_formula(self)!r})"
+
+
+class Lit(_Node):
     """A literal ``subject=value`` over a fluent or action."""
 
-    subject: str
-    value: str
+    __slots__ = ("subject", "value")
 
 
-@dataclass(frozen=True)
-class ILit:
+class ILit(_Node):
     """An instant-stamped literal ``[subject=value]@instant``."""
 
-    subject: str
-    value: str
-    instant: int
+    __slots__ = ("subject", "value", "instant")
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula | IFormula"
+class Not(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula | IFormula"
-    right: "Formula | IFormula"
+class And(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula | IFormula"
-    right: "Formula | IFormula"
+class Or(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula | IFormula"
-    right: "Formula | IFormula"
+class Implies(_Node):
+    __slots__ = ("left", "right")
 
 
 Formula = Union[Lit, Not, And, Or, Implies]
@@ -208,13 +233,6 @@ _CONSTRUCTORS = {Not: Not, And: And, Or: Or, Implies: Implies}
 _NO_VALUE = dict.fromkeys(_CONSTRUCTORS, lambda *args: None)
 _TRUTH = {Not: operator.not_, And: operator.and_, Or: operator.or_,
           Implies: lambda a, b: b or not a}
-
-
-def _leaves(phi) -> list:
-    """Leaf literals of a formula tree, left to right, duplicates kept."""
-    found: list = []
-    fold(phi, found.append, _NO_VALUE)
-    return found
 
 
 def at_instant(theta: Formula, instant: int) -> IFormula:
@@ -262,7 +280,8 @@ def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool
     """``satisfies(·, phi)`` over the window ``0..maxinst``, folding ``phi``
     once per distinct valuation of its literals; a literal outside the
     window raises RangeError here, before any world is evaluated."""
-    lits = list(dict.fromkeys(_leaves(phi)))
+    lits: dict = {}  # phi's distinct literals, left to right
+    fold(phi, lits.setdefault, _NO_VALUE)
     for instant in {il.instant for il in lits}:
         if not 0 <= instant <= maxinst:
             raise RangeError(f"instant {instant} outside the window 0..{maxinst}")
@@ -284,45 +303,61 @@ _NNF = {
 }
 
 
-def open_branches(phi: Formula):
-    """The open branches of an analytic tableau for ``phi``, lazily.
+def _nnf_pair(phi) -> tuple:
+    """``(NNF of phi, NNF of !phi)``, memoised; ``Not`` wraps only literals."""
+    if type(phi) in (Lit, ILit):  # no memo: Not(phi)'s key would keep phi alive
+        return phi, Not(phi)
+    if getattr(phi, "_nnf", None) is None:  # the slot starts unset
+        object.__setattr__(phi, "_nnf", fold(phi, lambda lit: (lit, Not(lit)), _NNF))
+    return phi._nnf
 
-    Literals are independent atoms.  The tableau expands ``phi``'s
-    negation normal form depth first and left to right, on explicit
-    stacks.  A branch is a dict from literal to sign in order of first
-    occurrence, and closes when a literal turns up with both signs.  The
-    open branches are a DNF of ``phi``, in product-expansion order.
-    """
-    # each node folds to the pair (its NNF, its negation's NNF)
-    nnf = fold(phi, lambda lit: ((lit, True), (lit, False)), _NNF)[0]
-    todo = [({}, (nnf, None))]  # (branch, its pending nodes as a linked list)
+
+def _branches(pending, ors_last: bool):
+    """``open_branches`` from the linked list ``pending`` of NNF nodes; with
+    ``ors_last``, ``|`` forks only once no literal or ``&`` is left."""
+    todo = [({}, pending, None)]  # (branch, pending nodes, deferred |s)
     while todo:
-        branch, pending = todo.pop()
-        while pending is not None:
-            node, pending = pending
+        branch, pending, ors = todo.pop()
+        while pending is not None or ors is not None:
+            if pending is None:
+                (node, ors), defer = ors, False
+            else:
+                (node, pending), defer = pending, ors_last
             kind = type(node)
             if kind is And:
                 pending = (node.left, (node.right, pending))
+            elif kind is Or and defer:
+                ors = (node, ors)
             elif kind is Or:
-                todo.append((dict(branch), (node.right, pending)))
+                todo.append((dict(branch), (node.right, pending), ors))
                 pending = (node.left, pending)
-            elif branch.setdefault(node[0], node[1]) != node[1]:
-                break
+            else:
+                lit, sign = (node.arg, False) if kind is Not else (node, True)
+                if branch.setdefault(lit, sign) != sign:
+                    break
         else:
             yield branch
+
+
+def open_branches(phi: Formula):
+    """The open branches of an analytic tableau for ``phi``, lazily: dicts
+    from literal (an atom) to sign in order of first occurrence, which form
+    a DNF of ``phi`` in product-expansion order.  The NNF is expanded depth
+    first and left to right; a literal with both signs closes a branch."""
+    return _branches((_nnf_pair(phi)[0], None), False)
 
 
 def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
     """Propositional entailment with literals taken as atoms.
 
-    Value exclusivity is deliberately not assumed: ``F=V`` and ``F=V'``
-    are independent propositions here, so e.g. their conjunction is
+    Value exclusivity is deliberately not assumed: ``F=V & F=V'`` is
     satisfiable.  ``theta`` entails ``theta_prime`` when the tableau for
-    ``!theta_prime & theta`` closes.  The goal comes first, so a body with
-    the goal as a conjunct is decided in linear time; the cost grows with
-    the ``|`` forks searched, not with the number of distinct literals.
+    ``!theta_prime & theta`` closes.  The goal comes first and ``|`` forks
+    last, so a body with the goal as a conjunct is decided in linear time;
+    the cost grows with the ``|`` forks searched, not with distinct literals.
     """
-    return next(open_branches(And(Not(theta_prime), theta)), None) is None
+    pending = (_nnf_pair(theta_prime)[1], (_nnf_pair(theta)[0], None))
+    return next(_branches(pending, True), None) is None
 
 
 # ---------------------------------------------------------------------------

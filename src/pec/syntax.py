@@ -43,6 +43,7 @@ from .core import (
     DomainSignature,
     Formula,
     IFormula,
+    ILit,
     Implies,
     Lit,
     Not,
@@ -645,10 +646,14 @@ _FORMAT_OPS = {
 }
 
 
-def format_formula(phi: Formula) -> str:
-    """Deterministic concrete syntax for a formula; reparses to itself."""
-    return fold(phi, lambda lit: (_literal_text(lit.subject, lit.value), 4,
-                                  f"{lit.subject}={lit.value}"), _FORMAT_OPS)[0]
+def format_formula(phi: Formula | IFormula) -> str:
+    """Deterministic concrete syntax for a formula or query; reparses to itself."""
+    def leaf(lit):
+        text, full = _literal_text(lit.subject, lit.value), f"{lit.subject}={lit.value}"
+        if type(lit) is ILit:
+            text = full = f"[{text}]@{lit.instant}"
+        return text, 4, full
+    return fold(phi, leaf, _FORMAT_OPS)[0]
 
 
 def _fmt_outcomes(head: Iterable[Outcome]) -> str:

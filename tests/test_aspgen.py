@@ -1,5 +1,6 @@
 """DNF conversion and answer-set-program generation."""
 
+import gc
 import itertools
 import random
 import re
@@ -20,6 +21,7 @@ from pec import (
     to_dnf,
     translate,
 )
+from pec import core
 from conftest import GOLDEN, EXAMPLES
 from helpers import random_formula, reference_dnf, table_atoms, table_eval
 
@@ -191,6 +193,27 @@ class TestEmit:
         dd = parse_domain((EXAMPLES / f"{name}.pec").read_text())
         assert emit(dd, with_axioms=True) == \
             (GOLDEN / f"{name}.lp").read_text()
+
+    def test_intern_table_keeps_no_node_of_a_dropped_domain(self):
+        text = ("maxinst 3\nfluent Door takes-values {open, shut}\n"
+                "fluent Lamp takes-values {on, off}\naction Push\naction Flick\n"
+                "initially-one-of {({Door=shut, Lamp=off}, 1)}\n"
+                "Push & (Door=shut | !Lamp=on) causes-one-of "
+                "{({Door=open}, 1/2), ({}, 1/2)}\n"
+                "Flick & (Lamp=off -> Door=open) & !Push causes-one-of "
+                "{({Lamp=on}, 1)}\n"
+                "Push performed-at 0\nFlick performed-at 1 with-prob 1/3\n")
+
+        def settle():
+            # an NNF memo may point back at its own node: cycles wait for gc
+            while gc.collect():
+                pass
+
+        settle()
+        before = len(core._NODES)
+        assert "causesOutcome((id_1_1, 1/2), I)" in emit(parse_domain(text))
+        settle()
+        assert len(core._NODES) == before
 
 
 class TestDomainIndependent:

@@ -1,5 +1,7 @@
 """Core algebra: state update, evaluation, satisfaction, entailment."""
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -28,6 +30,7 @@ from pec import (
     satisfies,
     update,
 )
+from pec import core, parse_domain
 from pec.core import format_state, satisfier
 from helpers import alternating, table_entails, random_formula
 
@@ -205,6 +208,88 @@ class TestHerbrandEntails:
         assert not herbrand_entails(lits[-1], chain)
         assert not herbrand_entails(chain, Lit("Y", TRUE))
         assert time.perf_counter() - start < 1
+
+    def test_conjuncts_expand_before_disjunctions_fork(self):
+        # 2**20 branches if each (F=a | F=a) forked where it was reached;
+        # Go closes the tableau before any of them forks
+        body = Lit("Go", TRUE)
+        for _ in range(20):
+            body = And(Or(Lit("F", "a"), Lit("F", "a")), body)
+        start = time.perf_counter()
+        assert herbrand_entails(body, Lit("Go", TRUE))
+        assert not herbrand_entails(body, Lit("Stop", TRUE))
+        assert time.perf_counter() - start < 0.1
+
+    def test_validation_folds_each_body_once(self, monkeypatch):
+        # condition (i) compares every ordered pair of rule bodies; the
+        # NNF each comparison reads is folded once per body, so the
+        # number of folds grows linearly with the rules, not with pairs
+        def rules_text(n):
+            values = ", ".join(f"v{n}_{i}" for i in range(n))
+            rules = "".join(
+                f"A & F=v{n}_{i} & !(G & F=v{n}_{(i + 1) % n}) causes-one-of "
+                f"{{({{F=v{n}_{(i + 1) % n}}}, 1)}}\n" for i in range(n))
+            return (f"maxinst 2\nfluent F takes-values {{{values}}}\n"
+                    "fluent G takes-values {true, false}\naction A\n"
+                    f"initially-one-of {{({{F=v{n}_0, G}}, 1)}}\n" + rules)
+
+        calls = []
+        fold = core.fold
+
+        def counting_fold(*args):
+            calls.append(1)
+            return fold(*args)
+
+        monkeypatch.setattr(core, "fold", counting_fold)
+        counts = []
+        for n in (10, 20):
+            calls.clear()
+            parse_domain(rules_text(n))
+            counts.append(len(calls))
+        assert 0 < counts[0] and counts[1] / counts[0] <= 2.5
+
+
+class TestInterning:
+    def test_equal_formulas_are_one_object(self):
+        assert Lit("F", "a") is Lit("F", "a")
+        assert ILit("F", "a", 1) is ILit("F", "a", 1)
+        assert (Implies(Lit("F", "a"), Not(Lit("G", TRUE)))
+                is Implies(Lit("F", "a"), Not(Lit("G", TRUE))))
+        assert And(Lit("F", "a"), Lit("G", TRUE)) is not Or(Lit("F", "a"),
+                                                             Lit("G", TRUE))
+        assert ILit("F", "a", 1) is not ILit("F", "a", 2)
+
+    def test_pickle_and_copy_return_the_same_node(self):
+        phi = Or(Not(ILit("F", "a", 1)), And(ILit("G", TRUE, 0),
+                                             ILit("F", "b", 2)))
+        assert pickle.loads(pickle.dumps(phi)) is phi
+        assert copy.deepcopy(phi) is phi
+        assert copy.copy(phi) is phi
+
+    def test_nodes_are_immutable(self):
+        phi = And(Lit("F", "a"), Lit("G", TRUE))
+        with pytest.raises(AttributeError):
+            phi.left = Lit("F", "b")
+        with pytest.raises(AttributeError):
+            del phi.left
+        assert phi.left is Lit("F", "a")
+
+    @pytest.mark.parametrize("build", [
+        lambda: Lit("F"), lambda: Lit("F", "a", 1), lambda: ILit("F", "a"),
+        lambda: Not(), lambda: And(Lit("F", "a")),
+        lambda: Or(Lit("F", "a"), Lit("F", "a"), Lit("F", "a")),
+    ])
+    def test_wrong_arity_raises(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_repr_is_concrete_syntax(self):
+        assert repr(Lit("Toss", TRUE)) == "Lit('Toss')"
+        assert (repr(Implies(And(Lit("F", "a"), Not(Lit("G", TRUE))),
+                             Lit("G", FALSE)))
+                == "Implies('F=a & !G=true -> !G')")
+        assert (repr(Or(ILit("F", "a", 1), Not(ILit("G", FALSE, 2))))
+                == "Or('[F=a]@1 | ![!G]@2')")
 
 
 class TestOutcomes:

@@ -345,6 +345,23 @@ class TestRender:
             chain = And(chain, lit)
         assert format_formula(chain) == " & ".join(f"X{i}" for i in range(1400))
 
+    def test_long_body_compares_hashes_and_prints(self):
+        # nodes are interned: ==, hash and repr never recurse into a body
+        n = 1500
+        text = ("maxinst 2\n"
+                + "".join(f"fluent X{i} takes-values {{true, false}}\n"
+                          for i in range(n))
+                + "action A\ninitially-one-of {({"
+                + ", ".join(f"X{i}" for i in range(n)) + "}, 1)}\n"
+                + "A & " + " & ".join(f"X{i}" for i in range(n))
+                + " causes-one-of {({X0}, 1)}\nA performed-at 0\n")
+        dd = parse_domain(text)
+        assert parse_domain(text) == dd
+        body = dd.cprops[0].body
+        assert hash(body) == hash(parse_domain(text).cprops[0].body)
+        assert repr(body) == f"And({format_formula(body)!r})"
+        assert repr(body) in repr(dd)
+
 
 def _kind(statement):
     first = statement.split()[0]
