@@ -165,6 +165,9 @@ class _Node:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+    def __deepcopy__(self, memo):
+        return self  # interned and immutable: a copy would be this very node
+
     def __repr__(self):
         from .syntax import format_formula  # syntax imports this module
         return f"{type(self).__name__}({format_formula(self)!r})"

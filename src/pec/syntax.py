@@ -22,18 +22,18 @@ sum to ``s < 1`` and which has no explicit empty effect gets an implicit
 Queries are instant-stamped formulas such as
 ``[Coin=Heads]@2 & ![Coin=Tails]@3``.
 
-Text becomes a domain in four steps: ``_lex`` cuts it into tokens; the
-parser files each statement under its kind as it reads it (``fluent``
-as a ``VProp``, an occurrence as a ``PProp``, rules and the initial
-distribution as raw rules that keep their source locations);
-``_validate_statements`` checks those lists and reports every violated
-condition; ``parse_domain`` builds the ``DomainDescription`` from them.
+Text becomes a domain in four steps: ``_lex`` cuts it into tokens in one
+regex scan; the parser files each statement, with its source location,
+under its kind (``fluent`` as a ``VProp``, rules as raw rules);
+``_validate_statements`` reports every violated condition at its
+location; ``parse_domain`` builds the location-free ``DomainDescription``.
 Statements may come in any order; within a kind, source order is kept.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Container, Iterable, Mapping
@@ -111,20 +111,17 @@ class DomainValidationError(PecError):
 class VProp:
     fluent: str
     values: tuple[str, ...]
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class CProp:
     body: Formula
     head: tuple[Outcome, ...]
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class IProp:
     head: tuple[Outcome, ...]
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,6 @@ class PProp:
     action: str
     instant: int
     prob: Fraction
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,50 +153,39 @@ class DomainDescription:
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>%[^\n]*)
-    | (?P<kw>takes-values|initially-one-of|causes-one-of|performed-at|with-prob)
+      (?P<skip>(?:[ \t\r\n]+|%[^\n]*)+)
+    | (?:takes-values|initially-one-of|causes-one-of|performed-at|with-prob)
       (?![A-Za-z0-9_-])
     | (?P<id>[A-Za-z][A-Za-z0-9_]*)
     | (?P<dec>\d+\.\d+)
     | (?P<nat>\d+)
-    | (?P<punct>->|[{}(),=!&|@\[\]/])
+    | ->|[{}(),=!&|@\[\]/]
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "id" | "nat" | "dec" | "eof" | keyword or punctuation text
-    text: str
-    line: int
-    col: int
+# kind: "id", "nat", "dec", "eof", or the text itself of a keyword or punctuation
+# mark (matched by an unnamed alternative, so its match has no lastgroup)
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PecSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        group = m.lastgroup
-        chunk = m.group()
-        if group in ("kw", "punct"):
-            tokens.append(_Token(chunk, chunk, line, col))
-        elif group in ("id", "nat", "dec"):
-            tokens.append(_Token(group, chunk, line, col))
-        # whitespace and comments are skipped
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
+    line, line_start = 1, 0  # no token holds a newline; only skipped text does
+    for m in _TOKEN_RE.finditer(text):
+        group, chunk, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if group == "skip":
+            if (newlines := chunk.count("\n")):
+                line += newlines
+                line_start = m.start() + chunk.rfind("\n") + 1
+        elif group == "bad":
+            raise PecSyntaxError(f"unexpected character {chunk!r}", line, col)
         else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+            tokens.append(_Token(group or chunk, chunk, line, col))
+    # The parser looks at most two tokens past the current one and never
+    # advances past eof, so three eof sentinels make every lookahead in range.
+    return tokens + [_Token("eof", "", line, len(text) - line_start + 1)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +219,12 @@ class _RawRule:
 class _Statements:
     """A domain text's statements filed by kind, each kind in source order."""
 
-    vprops: list[VProp] = field(default_factory=list)
+    vprops: list[tuple[VProp, tuple[int, int]]] = field(default_factory=list)
     actions: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
     maxinsts: list[tuple[int, tuple[int, int]]] = field(default_factory=list)
     iprops: list[_RawRule] = field(default_factory=list)
     cprops: list[_RawRule] = field(default_factory=list)
-    pprops: list[PProp] = field(default_factory=list)
+    pprops: list[tuple[PProp, tuple[int, int]]] = field(default_factory=list)
 
 
 class _Parser:
@@ -248,14 +233,11 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
@@ -279,7 +261,7 @@ class _Parser:
                 name = self.expect("id", "a fluent name").text
                 self.expect("takes-values")
                 values = self._braced(lambda: self.expect("id", "a value name").text)
-                found.vprops.append(VProp(name, tuple(values), loc))
+                found.vprops.append((VProp(name, tuple(values)), loc))
             elif tok.text == "action":
                 self.advance()
                 found.actions.append((self.expect("id", "an action name").text, loc))
@@ -297,7 +279,7 @@ class _Parser:
                 if self.peek().kind == "with-prob":
                     self.advance()
                     prob = self._prob()
-                found.pprops.append(PProp(tok.text, instant, prob, loc))
+                found.pprops.append((PProp(tok.text, instant, prob), loc))
             else:
                 found.cprops.append(self._cprop(loc))
         return found
@@ -464,15 +446,15 @@ def _validate_statements(found: _Statements) -> ValidationReport:
         issues.append(Issue("duplicate maxinst statement", *loc))
 
     sig_vals: dict[str, list[str]] = {}
-    for v in found.vprops:
+    for v, loc in found.vprops:
         if v.fluent in sig_vals:
             issues.append(Issue(
                 f"duplicate value declaration for fluent {v.fluent}",
-                *v.loc, condition="(iii)"))
+                *loc, condition="(iii)"))
             continue
         for x in sorted({x for x in v.values if v.values.count(x) > 1}):
             issues.append(Issue(
-                f"duplicate value {x} in declaration of {v.fluent}", *v.loc))
+                f"duplicate value {x} in declaration of {v.fluent}", *loc))
         sig_vals[v.fluent] = list(dict.fromkeys(v.values))
     actions: set[str] = set()
     for name, loc in found.actions:
@@ -539,22 +521,22 @@ def _validate_statements(found: _Statements) -> ValidationReport:
                     f"line {other.loc[0]}", *rule.loc, condition="(i)"))
 
     seen_occurrences: set[tuple[str, int]] = set()
-    for p in found.pprops:
+    for p, loc in found.pprops:
         if p.action in sig_vals:
-            issues.append(Issue(f"{p.action} is a fluent, not an action", *p.loc))
+            issues.append(Issue(f"{p.action} is a fluent, not an action", *loc))
         elif p.action not in actions:
-            issues.append(Issue(f"unknown action {p.action}", *p.loc))
+            issues.append(Issue(f"unknown action {p.action}", *loc))
         if maxinst is not None and p.instant >= maxinst:
             issues.append(Issue(
                 f"occurrence instant {p.instant} must be below maxinst "
-                f"{maxinst}", *p.loc))
+                f"{maxinst}", *loc))
         if not 0 < p.prob <= 1:
             issues.append(Issue(
-                f"occurrence probability {p.prob} outside (0,1]", *p.loc))
+                f"occurrence probability {p.prob} outside (0,1]", *loc))
         if (p.action, p.instant) in seen_occurrences:
             issues.append(Issue(
                 f"duplicate occurrence of {p.action} at instant {p.instant}",
-                *p.loc, condition="(iv)"))
+                *loc, condition="(iv)"))
         seen_occurrences.add((p.action, p.instant))
 
     issues.sort(key=lambda i: (i.line, i.col, i.message))
@@ -578,13 +560,13 @@ def parse_domain(text: str) -> DomainDescription:
     if not report.ok():
         raise DomainValidationError(report)
     # valid: one maxinst, one i-proposition, no repeated fluent or action
-    vals = {v.fluent: v.values for v in found.vprops}
+    vals = {v.fluent: v.values for v, _ in found.vprops}
     actions = tuple(name for name, _ in found.actions)
     signature = DomainSignature(tuple(vals), actions, vals, found.maxinsts[0][0])
-    cprops = tuple(CProp(r.body, r.head(), r.loc) for r in found.cprops)
+    cprops = tuple(CProp(r.body, r.head()) for r in found.cprops)
     (initial,) = found.iprops
-    return DomainDescription(signature, tuple(found.vprops), cprops,
-                             tuple(found.pprops), IProp(initial.head(), initial.loc))
+    return DomainDescription(signature, tuple(v for v, _ in found.vprops), cprops,
+                             tuple(p for p, _ in found.pprops), IProp(initial.head()))
 
 
 def validate(text: str) -> ValidationReport:

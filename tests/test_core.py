@@ -266,6 +266,13 @@ class TestInterning:
         assert copy.deepcopy(phi) is phi
         assert copy.copy(phi) is phi
 
+    def test_deepcopy_of_a_deep_chain_is_the_chain(self):
+        chain = Lit("X0", TRUE)
+        for i in range(1, 1500):
+            chain = And(chain, Lit(f"X{i}", TRUE))
+        assert copy.deepcopy(chain) is chain
+        assert copy.deepcopy([chain])[0] is chain
+
     def test_nodes_are_immutable(self):
         phi = And(Lit("F", "a"), Lit("G", TRUE))
         with pytest.raises(AttributeError):

@@ -12,6 +12,7 @@ from pec import (
     ILit,
     Implies,
     Lit,
+    PecError,
     PecSyntaxError,
     TRUE,
     emit,
@@ -251,6 +252,100 @@ class TestSyntaxErrors:
         with pytest.raises(PecSyntaxError) as err:
             parse_domain(text)
         assert err.value.line == 3 and err.value.col == 10
+
+
+# (label, input kind, text, message, line, col): a tab or a lone '\r' is one
+# column, and '\r\n' ends a line like '\n'
+POSITIONS = [
+    ("comment-lines", "domain", "% header\n% more\nmaxinst x\n",
+     "expected an instant bound, found 'x'", 3, 9),
+    ("tabs", "domain", "maxinst 3\n\tfluent\tF\ttakes-values\t{a,\t}\n",
+     "expected a value name, found '}'", 2, 28),
+    ("lone-cr", "domain", "maxinst\r\tx",
+     "expected an instant bound, found 'x'", 1, 10),
+    ("crlf", "domain", "maxinst 3\r\nmaxinst x\r\n",
+     "expected an instant bound, found 'x'", 2, 9),
+    ("crlf-comments", "domain",
+     "maxinst 3 % bound\r\n%\r\n  fluent F takes-values {a, b}}",
+     "expected a literal or '('", 3, 31),
+    ("crlf-end-of-input", "domain",
+     "maxinst 3\r\nfluent F takes-values {a}\r\naction\r\n",
+     "expected an action name, found end of input", 4, 1),
+    ("end-of-input", "domain", "maxinst 3\nfluent F takes-values {a, b",
+     "expected '}', found end of input", 2, 28),
+    ("after-comment", "domain", "maxinst 3 % bound\n$",
+     "unexpected character '$'", 2, 1),
+    ("vertical-tab-after-comment", "domain", "maxinst 3\n% c\n\x0bfluent",
+     "unexpected character '\\x0b'", 3, 1),
+    ("lone-dash", "domain", "maxinst 3\nA - B",
+     "unexpected character '-'", 2, 3),
+    ("issue-on-later-line", "validate",
+     VALID_PREFIX + "\n% later\n  A performed-at 7\n",
+     "occurrence instant 7 must be below maxinst 3", 7, 3),
+    ("crlf-issue-after-tab", "validate",
+     VALID_PREFIX + "\r\n\tA performed-at 1\r\n\tA performed-at 1\r\n",
+     "duplicate occurrence of A at instant 1 (condition (iv))", 7, 2),
+    ("query-action-value", "query", "[Coin=Heads]@1 & [Toss=maybe]@2",
+     "maybe is not a possible value of action Toss", 1, 19),
+    ("query-later-line", "query", "[Coin=Heads]@1 &\n  [Wind=x]@2",
+     "unknown symbol Wind", 2, 4),
+    ("query-inside-disjunction", "query",
+     "[Coin=Heads]@1 & [Coin=Heads | Coin=Side]@2",
+     "Side is not a possible value of Coin", 1, 32),
+    ("query-instant-after-tab", "query", "[Coin=Heads]@1 & [\tToss]@7",
+     "instant 7 beyond maxinst 3", 1, 20),
+    ("query-end-of-input", "query", "[Coin=Heads]@1 & [Coin=Heads]@",
+     "expected an instant, found end of input", 1, 31),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,col",
+                         [row[1:] for row in POSITIONS],
+                         ids=[row[0] for row in POSITIONS])
+def test_message_and_position(coin, kind, text, message, line, col):
+    if kind == "validate":
+        (found,) = validate(text).issues
+    else:
+        with pytest.raises(PecSyntaxError) as err:
+            if kind == "domain":
+                parse_domain(text)
+            else:
+                parse_query(text, coin.signature)
+        found = err.value
+    assert str(found) == f"line {line}, col {col}: {message}"
+    assert (found.line, found.col) == (line, col)
+
+
+# the lexer's alphabet, plus characters and fragments it must reject
+SOUP = ["maxinst", "fluent", "action", "takes-values", "initially-one-of",
+        "causes-one-of", "performed-at", "with-prob", "Coin", "Heads", "Toss",
+        "F", "a", "true", "0", "1", "3", "0.5", "49/100", "{", "}", "(", ")",
+        ",", "=", "!", "&", "|", "@", "[", "]", "/", "->", " ", "\n", "% c\n",
+        "\r", "\t", "\x0b", "$", "-"]
+
+
+def test_arbitrary_text_raises_only_pec_errors(coin):
+    # token soups, mutated shipped domains and random ASCII: any other
+    # exception (an IndexError past the eof tokens, say) fails the test
+    from conftest import EXAMPLES
+    rng = random.Random(14)
+    shipped = [(EXAMPLES / name).read_text()
+               for name in ("coin.pec", "antibiotic.pec", "keys.pec")]
+    for k in range(3000):
+        if k % 3 == 0:
+            text = "".join(rng.choice(SOUP) for _ in range(rng.randint(0, 30)))
+        elif k % 3 == 1:
+            text = rng.choice(shipped)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)  # cut up to 5 chars, insert one
+                text = text[:i] + rng.choice(SOUP) + text[i + rng.randrange(6):]
+        else:
+            text = "".join(chr(rng.randrange(128)) for _ in range(rng.randint(0, 60)))
+        for check in (validate, lambda t: parse_query(t, coin.signature)):
+            try:
+                check(text)
+            except PecError:
+                pass
 
 
 class TestParseQuery:
