@@ -1,7 +1,8 @@
 """Exact reasoning engine and ASP compiler for probabilistic event
 calculus domains: parse action-domain descriptions, compute query
-probabilities by exhaustive enumeration over a finite instant window,
-and emit an equivalent answer set program."""
+probabilities over a finite instant window (marginals by one forward
+pass over fluent states; conditionals and ``enumerate_worlds`` still by
+listing every world), and emit an equivalent answer set program."""
 
 from .core import (
     And,

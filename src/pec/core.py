@@ -19,6 +19,7 @@ Probabilities are exact ``fractions.Fraction`` values throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
@@ -279,23 +280,25 @@ def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
     return fold(phi, leaf, _TRUTH)
 
 
-def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool]:
-    """``satisfies(·, phi)`` over the window ``0..maxinst``, folding ``phi``
-    once per distinct valuation of its literals; a literal outside the
-    window raises RangeError here, before any world is evaluated."""
-    lits: dict = {}  # phi's distinct literals, left to right
-    fold(phi, lits.setdefault, _NO_VALUE)
-    for instant in {il.instant for il in lits}:
-        if not 0 <= instant <= maxinst:
-            raise RangeError(f"instant {instant} outside the window 0..{maxinst}")
-    memo: dict[tuple, bool] = {}
+def query_mask(phi: IFormula, maxinst: int):
+    """``(bits, truth)``: phi's distinct literals, left to right, each to
+    its bit of a mask, and phi's value under a mask, folded once per mask.
+    A literal outside ``0..maxinst`` raises RangeError here, up front."""
+    bits: dict = {}
+    fold(phi, lambda il: bits.setdefault(il, 1 << len(bits)), _NO_VALUE)
+    for il in bits:
+        if not 0 <= il.instant <= maxinst:
+            raise RangeError(f"instant {il.instant} outside the window 0..{maxinst}")
+    return bits, functools.cache(
+        lambda mask: fold(phi, lambda il: bool(bits[il] & mask), _TRUTH))
 
-    def holds(states: Sequence[Mapping[str, str]]) -> bool:
-        row = tuple([_holds(states[il.instant], il.subject, il.value) for il in lits])
-        if row not in memo:
-            memo[row] = fold(phi, dict(zip(lits, row)).__getitem__, _TRUTH)
-        return memo[row]
-    return holds
+
+def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool]:
+    """``satisfies(·, phi)`` over the window ``0..maxinst``, through
+    ``query_mask``."""
+    bits, truth = query_mask(phi, maxinst)
+    return lambda states: truth(sum([bit for il, bit in bits.items()
+                                     if _holds(states[il.instant], il.subject, il.value)]))
 
 
 _NNF = {

@@ -9,14 +9,17 @@ walks it, reaching each world once, the sampler draws from it, and
 ``tset``/``transition``/``transition_graph`` read it.
 ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, used as an oracle against the enumerator.
-Queries sum the worlds ``core.satisfier`` accepts, and it checks their
-instants against the window; the sampler leaves that to ``satisfies``.
+``marginal`` is one forward pass over the table, listing no worlds;
+``conditional`` sums the enumerated worlds ``core.satisfier`` accepts.
+Both check the window up front; the sampler leaves that to ``satisfies``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
@@ -29,8 +32,10 @@ from .core import (
     IFormula,
     Outcome,
     TRUE,
+    _holds,
     eval_formula,
     outcomes_weight,
+    query_mask,
     satisfier,
     satisfies,
     update,
@@ -142,9 +147,7 @@ def narrative_eval(dd: DomainDescription, world: FiniteWorld) -> Fraction:
 def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     """All worlds of non-zero weight, with exact weights and traces.
 
-    Branches over (a) occur/not-occur for every occurrence statement
-    with probability below 1 (probability-1 occurrences are forced, all
-    other action atoms false, per the closed world assumption), (b) the
+    Branches over (a) the occurrence patterns of ``_narratives``, (b) the
     initial choice, and (c) the compiled table's moves, one per next
     fluent state, depth first, so each world is reached once: its weight
     is carried down as a product and its traces are the product of its
@@ -152,14 +155,9 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     """
     sig = dd.signature
     moves = _compile(dd)
-    choices = [(True,) if p.prob == 1 else (True, False) for p in dd.pprops]
     result = []
-    for bits in itertools.product(*choices):
-        eps = Fraction(1)
-        for p, occurs in zip(dd.pprops, bits):
-            eps *= p.prob if occurs else 1 - p.prob
-        rows = _action_rows(sig, {(p.action, p.instant)
-                                  for p, occurs in zip(dd.pprops, bits) if occurs})
+    for occurring, eps in _narratives(dd.pprops):
+        rows = _action_rows(sig, occurring, sig.instants)
         # a link is (previous link, states before it, instant fired,
         # outcomes, fluents after): only instants where a rule fires add one
         stack = [(0, eps * ic.weight, (None, [], -1, (ic,), ic.effect))
@@ -187,11 +185,25 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     return result
 
 
-def _action_rows(sig: DomainSignature, occurring) -> list[dict[str, str]]:
-    """Action part of the state at each instant: exactly the occurring
-    (action, instant) pairs are true, per the closed world assumption."""
+def _narratives(pprops):
+    """Each occurrence pattern of ``pprops`` with its narrative factor: the
+    set of occurring (action, instant) pairs, and the product of P over
+    them and of 1-P over the rest.  Probability-1 occurrences are forced;
+    every other action atom is false, per the closed world assumption."""
+    choices = [(True,) if p.prob == 1 else (True, False) for p in pprops]
+    for bits in itertools.product(*choices):
+        eps = 1
+        for p, occurs in zip(pprops, bits):
+            eps *= p.prob if occurs else 1 - p.prob
+        yield {(p.action, p.instant) for p, occurs in zip(pprops, bits) if occurs}, eps
+
+
+def _action_rows(sig: DomainSignature, occurring, instants) -> list[dict[str, str]]:
+    """Action part of the state at each of ``instants``: exactly the
+    occurring (action, instant) pairs are true, per the closed world
+    assumption."""
     return [{a: (TRUE if (a, i) in occurring else FALSE) for a in sig.actions}
-            for i in sig.instants]
+            for i in instants]
 
 
 def _compile(dd: DomainDescription):
@@ -302,11 +314,48 @@ def check_world(dd: DomainDescription, world: FiniteWorld) -> WorldReport:
 
 
 def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
-    """Probability of an instant-stamped formula: the summed weight of
-    the enumerated worlds satisfying it."""
-    holds = satisfier(phi, dd.signature.maxinst)
-    return sum((w.weight for w in enumerate_worlds(dd)
-                if holds(w.world.states)), Fraction(0))
+    """Probability of an instant-stamped formula, by one exact forward pass
+    (the forward algorithm of hidden Markov models): a world's weight is a
+    product over instants, so the mass of the worlds alike so far is
+    carried as one sum per (fluent state, mask of phi's literals seen).
+    It reaches the (total state, instant) pairs enumeration does, earliest
+    instant first, and at ``maxinst`` folds phi once per distinct mask."""
+    sig = dd.signature
+    bits, truth = query_mask(phi, sig.maxinst)
+    moves = _compile(dd)
+    end = [({}, (), 1, 1.0)]  # the window ends: no move out of maxinst
+    idle = _action_rows(sig, (), (0,))[0]  # the action part when nothing occurs
+    mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), 0), 1, 1, ic.weight)
+                            for ic in dd.iprop.head], 1)
+    for i in sig.instants:
+        here = [p for p in dd.pprops if p.instant == i]
+        lits = [(il, bit) for il, bit in bits.items() if il.instant == i]
+        if not (here or lits) and i < sig.maxinst and all(
+                not moves(dict(fluents, **idle), i)[0][1] for fluents, _ in mass):
+            continue  # no occurrence, literal or rule here: the mass stays as it is
+        patterns = [(_action_rows(sig, occurring, (i,))[0], eps) for occurring, eps
+                    in _narratives(here)] if here else [(idle, 1)]
+        steps = []
+        for (fluents, mask), m in mass.items():
+            for row, eps in patterns:
+                state = dict(fluents, **row)
+                mask_i = mask + sum([bit for il, bit in lits
+                                     if _holds(state, il.subject, il.value)])
+                steps += [((tuple(after.items()), mask_i), m, eps, w) for after, _, w, _
+                          in (moves(state, i) if i < sig.maxinst else end)]
+        mass, total = _collect(steps, total)
+    return Fraction(sum(m for (_, mask), m in mass.items() if truth(mask)), total)
+
+
+def _collect(steps, total: int):
+    """Steps ``(key, mass, factor, factor)`` summed by key: integer masses
+    over ``total`` times a common multiple of the factors' denominators, so
+    no step reduces a fraction; and that new denominator."""
+    scale = math.lcm(*(e.denominator * w.denominator for *_, e, w in steps))
+    mass: dict = defaultdict(int)
+    for key, m, e, w in steps:
+        mass[key] += m * e.numerator * w.numerator * (scale // (e.denominator * w.denominator))
+    return mass, total * scale
 
 
 def entails(dd: DomainDescription, h: HProposition) -> bool:
@@ -448,7 +497,7 @@ def _sampler(dd: DomainDescription):
 
     def draw(rng: random.Random) -> FiniteWorld:
         rows = _action_rows(sig, {(a, i) for a, i, sure, cut in occurs
-                                  if sure or rng.random() < cut})
+                                  if sure or rng.random() < cut}, sig.instants)
         states = [{**pick(rng, initial)[0].effect, **rows[0]}]
         for i in range(sig.maxinst):
             targets = moves(states[-1], i)

@@ -157,8 +157,8 @@ _TOKEN_RE = re.compile(
     | (?:takes-values|initially-one-of|causes-one-of|performed-at|with-prob)
       (?![A-Za-z0-9_-])
     | (?P<id>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<dec>\d+\.\d+)
-    | (?P<nat>\d+)
+    | (?P<dec>[0-9]+\.[0-9]+)
+    | (?P<nat>[0-9]+)
     | ->|[{}(),=!&|@\[\]/]
     | (?P<bad>.)
     """,

@@ -284,3 +284,22 @@ def random_iformula(rng: random.Random, sig: DomainSignature, depth=3):
     node = (And, Or, Implies)[kind - 1]
     return node(random_iformula(rng, sig, depth - 1),
                 random_iformula(rng, sig, depth - 1))
+
+
+def covering_iformula(rng: random.Random, sig: DomainSignature):
+    """A random i-formula built with ``!``, ``|`` and ``->`` over a random
+    subformula, a fluent literal at instant 0, one at ``maxinst`` and an
+    action literal (a fourth random subformula when there are no actions),
+    placed in random order."""
+    def fluent_at(instant):
+        f = rng.choice(sig.fluents)
+        return ILit(f, rng.choice(sig.vals[f]), instant)
+
+    if sig.actions:
+        extra = ILit(rng.choice(sig.actions), rng.choice((TRUE, FALSE)),
+                     rng.randint(0, sig.maxinst))
+    else:
+        extra = random_iformula(rng, sig, 2)
+    parts = [random_iformula(rng, sig, 2), fluent_at(0), fluent_at(sig.maxinst), extra]
+    rng.shuffle(parts)
+    return Implies(Or(Not(parts[0]), parts[1]), Or(parts[2], parts[3]))

@@ -38,6 +38,7 @@ from conftest import GOLDEN
 from helpers import (
     all_worlds,
     canonical_trace,
+    covering_iformula,
     micro_domain,
     random_domain,
     random_iformula,
@@ -133,6 +134,20 @@ def test_criterion_4_probability_function(enumerated_pool):
             psi = And(random_iformula(rng, dd.signature), Not(phi))
             assert mass(Or(phi, psi)) == mass(phi) + mass(psi)
     _pass(4, f"normalization and additivity on {len(enumerated_pool)} domains")
+
+
+def test_forward_pass_equals_enumeration(enumerated_pool):
+    # marginal's forward pass against the summed weight of the enumerated
+    # worlds satisfying the query, on the pool and the 50 micro domains
+    rng = random.Random(4242)
+    micro = [micro_domain(rng) for _ in range(50)]
+    pool = enumerated_pool + [(dd, enumerate_worlds(dd)) for dd in micro]
+    rng = random.Random(15)
+    for dd, worlds in pool:
+        for _ in range(5):
+            phi = covering_iformula(rng, dd.signature)
+            assert marginal(dd, phi) == sum(
+                (w.weight for w in worlds if w.world.satisfies(phi)), Fraction(0))
 
 
 def test_criterion_5_lemma_suites(domain_pool):

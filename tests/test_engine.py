@@ -315,6 +315,52 @@ class TestGroupedWalk:
         with pytest.raises(RangeError, match="instant 4 outside the window 0..3"):
             conditional(coin, heads, ILit("Coin", "Heads", 4))
 
+    def test_marginal_raises_concurrent_activation_as_enumeration_does(self):
+        # the forward pass walks instant by instant, so it reports the
+        # earliest reachable clash; the depth-first walk may report a later one
+        raised = later = 0
+        for dd in clash_twins(200):
+            f = dd.signature.fluents[0]
+            phi = ILit(f, dd.signature.vals[f][0], 0)
+            try:
+                enumerate_worlds(dd)
+            except ConcurrentActivation as exc:
+                with pytest.raises(ConcurrentActivation) as err:
+                    marginal(dd, phi)
+                clashes = reachable_clashes(dd)
+                first = min(i for i, _ in clashes)
+                assert err.value.instant == first
+                assert (first, tuple(sorted(err.value.state.items()))) in clashes
+                raised += 1
+                later += exc.instant > first
+            else:
+                marginal(dd, phi)
+        assert raised > 20 and later > 0
+        # no move leaves maxinst, so a clash there is reached by neither
+        b = Lit("F", "b")
+        late = replace(CLASH, signature=replace(CLASH.signature, maxinst=1), cprops=(
+            CProp(Lit("F", "a"), (Outcome({"F": "b"}, 1),)),
+            CProp(b, (Outcome({}, 1),)), CProp(b, (Outcome({}, 1),))))
+        assert [w.weight for w in enumerate_worlds(late)] == [1]
+        assert marginal(late, ILit("F", "b", 1)) == marginal(late, ILit("F", "a", 0)) == 1
+
+    @pytest.mark.parametrize("k", [8, 12, 50])
+    def test_marginal_on_long_toss_narratives(self, k):
+        # the coin tossed at instants 1..k, each with probability p = 1/2:
+        # P([Coin=Heads]@k+1) = 1/2 + 1/2 (1 - 49/50 p)^k, over 3^k worlds
+        dd = parse_domain(
+            f"maxinst {k + 1}\nfluent Coin takes-values {{Heads, Tails}}\n"
+            "action Toss\ninitially-one-of {({Coin=Heads}, 1)}\n"
+            "Toss causes-one-of {({Coin=Heads}, 0.49), ({Coin=Tails}, 0.49), "
+            "({}, 0.02)}\n"
+            + "".join(f"Toss performed-at {i} with-prob 1/2\n" for i in range(1, k + 1)))
+        p = Fraction(1, 2)
+        start = time.process_time()
+        value = marginal(dd, ILit("Coin", "Heads", k + 1))
+        elapsed = time.process_time() - start
+        assert value == Fraction(1, 2) + Fraction(1, 2) * (1 - Fraction(49, 50) * p) ** k
+        assert elapsed < 1.0, f"marginal took {elapsed:.2f} s"
+
     def test_transitions_sum_outcomes_by_target(self, walk_pool):
         # keys (index 2) has clashing states, so its graph raises
         for dd in walk_pool[:2] + walk_pool[3:60]:

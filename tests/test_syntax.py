@@ -279,6 +279,15 @@ POSITIONS = [
      "unexpected character '\\x0b'", 3, 1),
     ("lone-dash", "domain", "maxinst 3\nA - B",
      "unexpected character '-'", 2, 3),
+    # numbers are ASCII digits only: other Unicode digits are not read as them
+    ("arabic-indic-maxinst", "domain", "maxinst ٣\n",
+     "unexpected character '٣'", 1, 9),
+    ("arabic-indic-weight", "domain",
+     "maxinst 3\nfluent F takes-values {a, b}\n"
+     "initially-one-of {({F=a}, ٠.٥), ({F=b}, 0.5)}\n",
+     "unexpected character '٠'", 3, 27),
+    ("arabic-indic-instant", "domain", VALID_PREFIX + "A performed-at ١\n",
+     "unexpected character '١'", 5, 16),
     ("issue-on-later-line", "validate",
      VALID_PREFIX + "\n% later\n  A performed-at 7\n",
      "occurrence instant 7 must be below maxinst 3", 7, 3),
