@@ -163,11 +163,12 @@ class _Node:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __deepcopy__(self, memo):
-        return self  # interned and immutable: a copy would be this very node
+    def __reduce__(self):  # flat, so that pickle does not recurse once per level
+        index: dict = {}  # post order, each child an index of an earlier entry
+        add = lambda *key: index.setdefault(key, len(index))
+        fold(self, lambda lit: add(type(lit), *map(lit.__getattribute__, lit.__slots__)),
+             {kind: functools.partial(add, kind) for kind in _CONSTRUCTORS})
+        return _unflatten, (tuple(index),)
 
     def __repr__(self):
         from .syntax import format_formula  # syntax imports this module
@@ -200,6 +201,13 @@ class Or(_Node):
 
 class Implies(_Node):
     __slots__ = ("left", "right")
+
+
+def _unflatten(entries):  # the inverse of ``_Node.__reduce__``, interning bottom up
+    built = []
+    for kind, *args in entries:
+        built.append(kind(*(args if kind in (Lit, ILit) else map(built.__getitem__, args))))
+    return built[-1]
 
 
 Formula = Union[Lit, Not, And, Or, Implies]

@@ -4,9 +4,9 @@ The model of a domain assigns each well-behaved world a weight: the
 narrative evaluation of the world times the summed evaluations of its
 traces.  Every decision of the form "which rule fires in this total
 state, and where can it go" is made once, by the compiled one-step
-table of ``_compile``, one entry per next fluent state: enumeration
-walks it, reaching each world once, the sampler draws from it, and
-``tset``/``transition``/``transition_graph`` read it.
+table of ``_compile``, one entry per next fluent state, kept while the
+domain lives: enumeration walks it, reaching each world once, the
+sampler draws from it, and ``tset``/``transition_graph`` read it.
 ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, used as an oracle against the enumerator.
 ``marginal`` is one forward pass over the table, listing no worlds;
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -41,6 +42,8 @@ from .core import (
     update,
 )
 from .syntax import CProp, DomainDescription, HProposition
+
+_TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its moves)
 
 
 @dataclass(frozen=True)
@@ -150,27 +153,28 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     Branches over (a) the occurrence patterns of ``_narratives``, (b) the
     initial choice, and (c) the compiled table's moves, one per next
     fluent state, depth first, so each world is reached once: its weight
-    is carried down as a product and its traces are the product of its
-    outcome groups.  The returned weights always sum to exactly 1.
+    is carried down in integers and reduced once, and its traces are the
+    product of its outcome groups.  The returned weights sum to exactly 1.
     """
     sig = dd.signature
     moves = _compile(dd)
     result = []
-    for occurring, eps in _narratives(dd.pprops):
+    for occurring, num, den in _narratives(dd.pprops):
         rows = _action_rows(sig, occurring, sig.instants)
         # a link is (previous link, states before it, instant fired,
         # outcomes, fluents after): only instants where a rule fires add one
-        stack = [(0, eps * ic.weight, (None, [], -1, (ic,), ic.effect))
-                 for ic in reversed(dd.iprop.head)]
+        stack = [(0, num * ic.weight.numerator, den * ic.weight.denominator,
+                  (None, [], -1, (ic,), ic.effect)) for ic in reversed(dd.iprop.head)]
         while stack:
-            i, weight, link = stack.pop()
-            held = [{**link[4], **rows[i]}]  # the states until a rule fires
+            i, num, den, link = stack.pop()
+            fluents = dict(link[4])
+            held = [{**fluents, **rows[i]}]  # the states until a rule fires
             while i < sig.maxinst and not (targets := moves(held[-1], i))[0][1]:
                 i += 1
-                held.append({**link[4], **rows[i]})
+                held.append({**fluents, **rows[i]})
             if i < sig.maxinst:
-                stack += [(i + 1, weight * w, (link, held, i, outs, fluents))
-                          for fluents, outs, w, _ in reversed(targets)]
+                stack += [(i + 1, num * n, den * d, (link, held, i, outs, after))
+                          for after, outs, n, d, _ in reversed(targets)]
                 continue
             path = []  # a world: its links back to the initial choice
             while link is not None:
@@ -181,63 +185,70 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
             fired = [node[2] for node in path[1:]]
             traces = tuple(Trace(ic, dict(zip(fired, chosen))) for ic, *chosen
                            in itertools.product(*(node[3] for node in path)))
-            result.append(WeightedWorld(FiniteWorld(sig, states), weight, traces))
+            result.append(WeightedWorld(FiniteWorld(sig, states), Fraction(num, den), traces))
     return result
 
 
 def _narratives(pprops):
     """Each occurrence pattern of ``pprops`` with its narrative factor: the
     set of occurring (action, instant) pairs, and the product of P over
-    them and of 1-P over the rest.  Probability-1 occurrences are forced;
-    every other action atom is false, per the closed world assumption."""
+    them and of 1-P over the rest, as an unreduced numerator, denominator.
+    Probability-1 occurrences are forced; every other action atom is false."""
     choices = [(True,) if p.prob == 1 else (True, False) for p in pprops]
     for bits in itertools.product(*choices):
-        eps = 1
+        num = den = 1
         for p, occurs in zip(pprops, bits):
-            eps *= p.prob if occurs else 1 - p.prob
-        yield {(p.action, p.instant) for p, occurs in zip(pprops, bits) if occurs}, eps
+            n, d = p.prob.numerator, p.prob.denominator
+            num, den = num * (n if occurs else d - n), den * d
+        yield {(p.action, p.instant) for p, occurs in zip(pprops, bits) if occurs}, num, den
 
 
 def _action_rows(sig: DomainSignature, occurring, instants) -> list[dict[str, str]]:
     """Action part of the state at each of ``instants``: exactly the
     occurring (action, instant) pairs are true, per the closed world
     assumption."""
-    return [{a: (TRUE if (a, i) in occurring else FALSE) for a in sig.actions}
-            for i in instants]
+    idle, on = dict.fromkeys(sig.actions, FALSE), defaultdict(dict)
+    for a, i in occurring:
+        on[i][a] = TRUE
+    return [{**idle, **on[i]} if i in on else idle for i in instants]
 
 
 def _compile(dd: DomainDescription):
     """The one-step table of a domain, filled in as states are reached.
 
-    ``moves(state, instant)`` lists where a total state can go: one
-    ``(next fluent state, outcomes in head order, summed weight, _cut of
-    the running total)`` per distinct target of the activated rule, in
-    order of first appearance, or ``(same fluents, (), 1, 1.0)`` when no
-    rule fires.  The list is memoised per state for the life of ``moves``;
-    a clash raises ConcurrentActivation at each reach and is never stored.
+    ``moves(state, instant)`` lists where a total state can go: one ``(next
+    fluent state as an items tuple, outcomes in head order, numerator and
+    denominator of their summed weight, _cut of the running total)`` per
+    distinct target of the activated rule, in order of first appearance, or
+    ``(same fluents, (), 1, 1, 1.0)`` when no rule fires.  Entries are kept
+    per state for the life of the domain, which the table does not keep
+    alive; a clash raises ConcurrentActivation at each reach, never stored.
     """
-    sig = dd.signature
+    if (known := _TABLES.get(id(dd))) and known[0]() is dd:
+        return known[1]
+    sig, rules = dd.signature, replace(dd)  # a copy: the table must not keep dd alive
     symbols = sig.symbols
-    table: dict[tuple, list] = {}
+    table: dict[tuple, tuple] = {}
 
-    def moves(state: Mapping[str, str], instant: int | None = None) -> list:
+    def moves(state: Mapping[str, str], instant: int | None = None) -> tuple:
         key = tuple(map(state.get, symbols))
         if key in table:
             return table[key]
-        c = activated_cprop(dd, state, instant)
+        c = activated_cprop(rules, state, instant)
         fluents = sig.fluent_part(state)
-        found: dict[frozenset, tuple] = {}
+        found: dict[frozenset, list] = {}
         for o in c.head if c else ():
-            after = update(fluents, o.effect)
-            found.setdefault(frozenset(after.items()), (after, []))[1].append(o)
+            after = tuple(update(fluents, o.effect).items())
+            found.setdefault(frozenset(after), [after]).append(o)
         listed, total = [], 0
-        for after, outs in found.values():
+        for after, *outs in found.values():
             weight = sum((o.weight for o in outs[1:]), outs[0].weight)
             total += weight
-            listed.append((after, tuple(outs), weight, _cut(total)))
-        table[key] = listed or [(fluents, (), Fraction(1), 1.0)]
+            listed.append((after, tuple(outs), *weight.as_integer_ratio(), _cut(total)))
+        table[key] = tuple(listed) or ((tuple(fluents.items()), (), 1, 1, 1.0),)
         return table[key]
 
+    _TABLES[id(dd)] = weakref.ref(dd, lambda _, k=id(dd): _TABLES.pop(k, None)), moves
     return moves
 
 
@@ -323,38 +334,38 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     sig = dd.signature
     bits, truth = query_mask(phi, sig.maxinst)
     moves = _compile(dd)
-    end = [({}, (), 1, 1.0)]  # the window ends: no move out of maxinst
+    end = [((), (), 1, 1, 1.0)]  # the window ends: no move out of maxinst
     idle = _action_rows(sig, (), (0,))[0]  # the action part when nothing occurs
-    mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), 0), 1, 1, ic.weight)
-                            for ic in dd.iprop.head], 1)
+    mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), 0),
+                             *ic.weight.as_integer_ratio()) for ic in dd.iprop.head], 1)
     for i in sig.instants:
         here = [p for p in dd.pprops if p.instant == i]
         lits = [(il, bit) for il, bit in bits.items() if il.instant == i]
         if not (here or lits) and i < sig.maxinst and all(
                 not moves(dict(fluents, **idle), i)[0][1] for fluents, _ in mass):
             continue  # no occurrence, literal or rule here: the mass stays as it is
-        patterns = [(_action_rows(sig, occurring, (i,))[0], eps) for occurring, eps
-                    in _narratives(here)] if here else [(idle, 1)]
+        patterns = [(_action_rows(sig, occurring, (i,))[0], num, den) for occurring, num, den
+                    in _narratives(here)] if here else [(idle, 1, 1)]
         steps = []
         for (fluents, mask), m in mass.items():
-            for row, eps in patterns:
+            for row, num, den in patterns:
                 state = dict(fluents, **row)
                 mask_i = mask + sum([bit for il, bit in lits
                                      if _holds(state, il.subject, il.value)])
-                steps += [((tuple(after.items()), mask_i), m, eps, w) for after, _, w, _
+                steps += [((after, mask_i), m * num * n, den * d) for after, _, n, d, _
                           in (moves(state, i) if i < sig.maxinst else end)]
         mass, total = _collect(steps, total)
     return Fraction(sum(m for (_, mask), m in mass.items() if truth(mask)), total)
 
 
 def _collect(steps, total: int):
-    """Steps ``(key, mass, factor, factor)`` summed by key: integer masses
-    over ``total`` times a common multiple of the factors' denominators, so
+    """Steps ``(key, numerator, denominator)`` summed by key: integer masses
+    over ``total`` times a common multiple of the steps' denominators, so
     no step reduces a fraction; and that new denominator."""
-    scale = math.lcm(*(e.denominator * w.denominator for *_, e, w in steps))
+    scale = math.lcm(*(d for *_, d in steps))
     mass: dict = defaultdict(int)
-    for key, m, e, w in steps:
-        mass[key] += m * e.numerator * w.numerator * (scale // (e.denominator * w.denominator))
+    for key, n, d in steps:
+        mass[key] += n * (scale // d)
     return mass, total * scale
 
 
@@ -388,7 +399,7 @@ def tset(dd: DomainDescription, state: Mapping[str, str],
     unit outcome; anything else is impossible.
     """
     return [o for fluents, outs, *_ in _compile(dd)(state)
-            if fluents == target for o in outs or [Outcome({}, Fraction(1))]]
+            if dict(fluents) == target for o in outs or [Outcome({}, Fraction(1))]]
 
 
 def transition(dd: DomainDescription, state: Mapping[str, str],
@@ -417,9 +428,9 @@ def transition_graph(dd: DomainDescription) -> list[TransitionEdge]:
             if acts:
                 idle.append((fluents, acts))
             continue
-        for tgt, _, weight, _ in targets:
-            edges.append(TransitionEdge(fluents, acts, tgt, weight))
-            nodes |= {frozenset(fluents.items()), frozenset(tgt.items())}
+        for tgt, _, n, d, _ in targets:
+            edges.append(TransitionEdge(fluents, acts, dict(tgt), Fraction(n, d)))
+            nodes |= {frozenset(fluents.items()), frozenset(tgt)}
     for fluents, acts in idle:
         if frozenset(fluents.items()) in nodes:
             edges.append(TransitionEdge(fluents, acts, fluents, Fraction(1)))
@@ -498,11 +509,13 @@ def _sampler(dd: DomainDescription):
     def draw(rng: random.Random) -> FiniteWorld:
         rows = _action_rows(sig, {(a, i) for a, i, sure, cut in occurs
                                   if sure or rng.random() < cut}, sig.instants)
-        states = [{**pick(rng, initial)[0].effect, **rows[0]}]
+        states, after = [{**pick(rng, initial)[0].effect, **rows[0]}], None
         for i in range(sig.maxinst):
             targets = moves(states[-1], i)
             fluents = (targets[0] if len(targets) == 1 else pick(rng, targets))[0]
-            states.append({**fluents, **rows[i + 1]})
+            if fluents != after:  # a dict of the fluents only when they change
+                after, base = fluents, dict(fluents)
+            states.append({**base, **rows[i + 1]})
         return FiniteWorld(sig, tuple(states))
 
     return draw

@@ -5,6 +5,7 @@ lines as they pass.
 """
 
 import itertools
+import math
 import random
 import time
 import timeit
@@ -136,18 +137,33 @@ def test_criterion_4_probability_function(enumerated_pool):
     _pass(4, f"normalization and additivity on {len(enumerated_pool)} domains")
 
 
-def test_forward_pass_equals_enumeration(enumerated_pool):
+@pytest.fixture(scope="module")
+def enumerated_micro():
+    rng = random.Random(4242)
+    return [(dd, enumerate_worlds(dd)) for dd in (micro_domain(rng) for _ in range(50))]
+
+
+def test_forward_pass_equals_enumeration(enumerated_pool, enumerated_micro):
     # marginal's forward pass against the summed weight of the enumerated
     # worlds satisfying the query, on the pool and the 50 micro domains
-    rng = random.Random(4242)
-    micro = [micro_domain(rng) for _ in range(50)]
-    pool = enumerated_pool + [(dd, enumerate_worlds(dd)) for dd in micro]
     rng = random.Random(15)
-    for dd, worlds in pool:
+    for dd, worlds in enumerated_pool + enumerated_micro:
         for _ in range(5):
             phi = covering_iformula(rng, dd.signature)
             assert marginal(dd, phi) == sum(
                 (w.weight for w in worlds if w.world.satisfies(phi)), Fraction(0))
+
+
+def test_world_weights_factor_exactly(enumerated_pool, enumerated_micro):
+    # each weight is the narrative factor times the summed trace evaluations,
+    # whatever order the walk multiplies them in, and is one reduced Fraction
+    for dd, worlds in enumerated_pool + enumerated_micro:
+        for w in worlds:
+            assert type(w.weight) is Fraction
+            assert math.gcd(w.weight.numerator, w.weight.denominator) == 1
+            assert w.weight == narrative_eval(dd, w.world) * sum(
+                trace_eval(t) for t in w.traces)
+        assert sum(w.weight for w in worlds) == 1
 
 
 def test_criterion_5_lemma_suites(domain_pool):

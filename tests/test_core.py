@@ -30,7 +30,7 @@ from pec import (
     satisfies,
     update,
 )
-from pec import core, parse_domain
+from pec import core, marginal, parse_domain, parse_query
 from pec.core import format_state, satisfier
 from helpers import alternating, table_entails, random_formula
 
@@ -272,6 +272,28 @@ class TestInterning:
             chain = And(chain, Lit(f"X{i}", TRUE))
         assert copy.deepcopy(chain) is chain
         assert copy.deepcopy([chain])[0] is chain
+
+    def test_pickle_of_a_deep_chain_is_the_chain(self):
+        chain = ILit("X0", TRUE, 0)
+        for i in range(1, 1500):
+            chain = And(chain, ILit(f"X{i}", TRUE, i % 3))
+        assert pickle.loads(pickle.dumps(chain)) is chain
+        shared = Or(Not(chain), Implies(chain, chain))
+        assert pickle.loads(pickle.dumps([shared, chain])) == [shared, chain]
+
+    def test_pickled_domain_answers_the_same(self, antibiotic):
+        body = " & ".join(["A"] + ["F=a", "!F=b"] * 750)  # 1,501 literals deep
+        deep = parse_domain("maxinst 2\nfluent F takes-values {a, b}\naction A\n"
+                            "initially-one-of {({F=a}, 1/2), ({F=b}, 1/2)}\n"
+                            f"{body} causes-one-of {{({{F=b}}, 3/4), ({{}}, 1/4)}}\n"
+                            "A performed-at 0 with-prob 1/3\n")
+        for dd, query in ((antibiotic, "[Bacteria=Absent]@4 & ![Rash=Present]@2"),
+                          (deep, "[F=b]@1 | [A]@0")):
+            again = pickle.loads(pickle.dumps(dd))
+            assert again == dd and again is not dd
+            phi = parse_query(query, dd.signature)
+            assert pickle.loads(pickle.dumps(phi)) is phi
+            assert marginal(again, phi) == marginal(dd, phi)
 
     def test_nodes_are_immutable(self):
         phi = And(Lit("F", "a"), Lit("G", TRUE))

@@ -1,8 +1,11 @@
 """Semantics engine: enumeration, world checking, queries, transitions."""
 
+import contextlib
+import gc
 import itertools
 import random
 import time
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -44,7 +47,8 @@ from pec import (
     tset,
     update,
 )
-from pec.engine import _cut
+from pec.engine import _TABLES, _cut
+from conftest import load_domain
 from helpers import (all_worlds, alternating, canonical_trace, micro_domain,
                      random_domain, random_iformula, reference_sample)
 
@@ -721,3 +725,60 @@ class TestSampling:
         phi = parse_query("[Coin=Heads]@2", coin.signature)
         with pytest.raises(ValueError):
             sample_frequency(coin, phi, 0, 1)
+
+
+def outcome(call):
+    """What a call returns, or the message, instant and state of its clash."""
+    try:
+        return repr(call())
+    except ConcurrentActivation as exc:
+        return str(exc), exc.instant, sorted(exc.state.items())
+
+
+class TestStepTable:
+    """One compiled step table serves every call on a domain while it lives."""
+
+    @pytest.mark.parametrize("name", ["coin.pec", "antibiotic.pec", "keys.pec"])
+    def test_mutated_results_leave_the_table_alone(self, name):
+        dd, cold = load_domain(name), load_domain(name)
+        f = dd.signature.fluents[0]
+        phi = ILit(f, dd.signature.vals[f][-1], dd.signature.maxinst)
+        calls = [transition_graph, enumerate_worlds, lambda d: marginal(d, phi),
+                 lambda d: sample_world(d, 5)]
+        expected = [outcome(lambda: call(cold)) for call in calls]
+        handed_out = [s for w in enumerate_worlds(dd) for s in w.world.states]
+        handed_out += sample_world(dd, 5).states
+        with contextlib.suppress(ConcurrentActivation):  # keys clashes off its narrative
+            handed_out += [s for e in transition_graph(dd) for s in (e.source, e.target)]
+        for state in handed_out:
+            for key in state:
+                state[key] = "XXX"  # the dataclasses are frozen, their dicts are not
+        assert [outcome(lambda: call(dd)) for call in calls] == expected
+
+    def test_domain_is_not_kept_alive(self):
+        dd = load_domain("antibiotic.pec")
+        phi = parse_query("[Bacteria=Absent]@4", dd.signature)
+        marginal(dd, phi)
+        conditional(dd, phi, phi)
+        sample_frequency(dd, phi, 10, 1)
+        transition_graph(dd)
+        key, ref = id(dd), weakref.ref(dd)
+        assert key in _TABLES
+        del dd
+        gc.collect()
+        assert ref() is None
+        assert key not in _TABLES
+
+    def test_clashes_raise_alike_on_a_warm_table(self):
+        raised = 0
+        for dd in clash_twins(200):
+            f = dd.signature.fluents[0]
+            phi = ILit(f, dd.signature.vals[f][0], 0)
+            calls = [lambda d: marginal(d, phi), enumerate_worlds,
+                     lambda d: sample_world(d, 3)]
+            # an equal copy has its own table, cold at its first call
+            first = [outcome(lambda: call(replace(dd))) for call in calls]
+            for call, expected in zip(calls * 2, first * 2):
+                assert outcome(lambda: call(dd)) == expected
+            raised += isinstance(first[1], tuple)
+        assert raised > 20
