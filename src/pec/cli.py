@@ -128,12 +128,12 @@ def cmd_graph(args) -> int:
 def cmd_sample(args) -> int:
     dd = _load(args.file)
     phi = parse_query(args.query, dd.signature)
+    digits = _digits(args)
     try:
         frequency = sample_frequency(dd, phi, args.count, args.seed)
     except ValueError as exc:
         print(f"pec sample: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    digits = _digits(args)
     print(f"samples   {args.count}")
     print(f"frequency {format_decimal(frequency, digits)}")
     print(f"exact     {format_decimal(marginal(dd, phi), digits)}")

@@ -6,7 +6,8 @@ traces.  Every decision of the form "which rule fires in this total
 state, and where can it go" is made once, by the compiled one-step
 table of ``_compile``, one entry per next fluent state, kept while the
 domain lives: enumeration walks it, reaching each world once, the
-sampler draws from it, and ``tset``/``transition_graph`` read it.
+sampler reads it once per node (a total state) its draws walk through,
+and ``tset``/``transition_graph`` read it.
 ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, used as an oracle against the enumerator.
 ``marginal`` is one forward pass over the table, listing no worlds;
@@ -478,7 +479,7 @@ def indistinguishable_up_to(w: FiniteWorld, w2: FiniteWorld,
 
 def sample_world(dd: DomainDescription, seed: int) -> FiniteWorld:
     """Draw one world; well-behaved by construction, fixed per seed."""
-    return _sampler(dd)(random.Random(seed))
+    return FiniteWorld(dd.signature, tuple(map(dict, _sampler(dd)(random.Random(seed)))))
 
 
 def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
@@ -488,34 +489,43 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
         raise ValueError("sample count must be positive")
     rng = random.Random(seed)
     draw = _sampler(dd)
-    return Fraction(sum(draw(rng).satisfies(phi) for _ in range(count)), count)
+    return Fraction(sum(satisfies(draw(rng), phi) for _ in range(count)), count)
 
 
 def _sampler(dd: DomainDescription):
-    """``draw(rng)``: one world, each choice a single ``rng.random()``
-    compared against the ``_cut`` of a probability or running total, which
-    decides as the exact ``Fraction`` would (the last choice when none
-    exceeds it); certain occurrences and single-target steps draw nothing."""
+    """``draw(rng)``: the states of one world, each choice a single
+    ``rng.random()`` compared against the ``_cut`` of a probability or
+    running total, which decides as the exact ``Fraction`` would (the last
+    choice when none exceeds it); certain occurrences and single-target
+    steps draw nothing.  A draw walks nodes interned per sampler, one per
+    (fluent items, actions occurring): a state dict, and once stepped
+    from, its moves, each with the nodes it has led to by the actions
+    occurring next.  Draws share the dicts, so ``sample_world`` copies."""
     sig = dd.signature
     moves = _compile(dd)
-    initial = [(o, _cut(total)) for o, total in zip(
+    idle = dict.fromkeys(sig.actions, FALSE)
+    initial = [(_cut(total), tuple(o.effect.items()), {}) for o, total in zip(
         dd.iprop.head, itertools.accumulate(o.weight for o in dd.iprop.head))]
     occurs = [(p.action, p.instant, p.prob == 1, _cut(p.prob)) for p in dd.pprops]
+    nodes: dict[tuple, list] = {}  # (fluent items, occurring actions) -> [state, steps]
 
-    def pick(rng, choices):
-        r = rng.random()
-        return next((c for c in choices if r < c[-1]), choices[-1])
-
-    def draw(rng: random.Random) -> FiniteWorld:
-        rows = _action_rows(sig, {(a, i) for a, i, sure, cut in occurs
-                                  if sure or rng.random() < cut}, sig.instants)
-        states, after = [{**pick(rng, initial)[0].effect, **rows[0]}], None
-        for i in range(sig.maxinst):
-            targets = moves(states[-1], i)
-            fluents = (targets[0] if len(targets) == 1 else pick(rng, targets))[0]
-            if fluents != after:  # a dict of the fluents only when they change
-                after, base = fluents, dict(fluents)
-            states.append({**base, **rows[i + 1]})
-        return FiniteWorld(sig, tuple(states))
+    def draw(rng: random.Random) -> list[dict[str, str]]:
+        on = [()] * (sig.maxinst + 1)
+        for a, i, sure, cut in occurs:
+            if sure or rng.random() < cut:
+                on[i] += (a,)
+        steps, r, states = initial, rng.random(), []
+        for i, acts in enumerate(on):
+            for cut, fluents, reached in steps:  # the first cut above r, else the last
+                if r < cut:
+                    break
+            if (node := reached.get(acts)) is None:
+                node = reached[acts] = nodes.setdefault((fluents, acts), [
+                    {**dict(fluents), **idle, **dict.fromkeys(acts, TRUE)}, None])
+            states.append(node[0])
+            if i < sig.maxinst:
+                steps = node[1] = node[1] or [(t[4], t[0], {}) for t in moves(node[0], i)]
+                r = rng.random() if len(steps) > 1 else 0.0
+        return states
 
     return draw

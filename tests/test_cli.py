@@ -310,6 +310,18 @@ class TestSample:
                            "-q", "[Coin=Heads]@2")
         assert first == second
 
+    def test_precision_checked_before_sampling(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sampled before the precision was checked")
+
+        monkeypatch.setattr("pec.cli.sample_frequency", unreachable)
+        monkeypatch.setenv("PEC_PRECISION", "x")
+        with pytest.raises(SystemExit) as err:
+            main(["sample", COIN, "-n", "100000", "-q", "[Coin=Heads]@2"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            "pec sample: error: PEC_PRECISION must be an integer, not 'x'\n")
+
     def test_zero_count(self, capsys):
         code, _, err = run(capsys, "sample", COIN, "-n", "0", "-q",
                            "[Coin=Heads]@2")

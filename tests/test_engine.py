@@ -28,6 +28,7 @@ from pec import (
     TRUE,
     Trace,
     activated_cprop,
+    at_instant,
     check_world,
     conditional,
     entails,
@@ -50,7 +51,8 @@ from pec import (
 from pec.engine import _TABLES, _cut
 from conftest import load_domain
 from helpers import (all_worlds, alternating, canonical_trace, micro_domain,
-                     random_domain, random_iformula, reference_sample)
+                     random_domain, random_formula, random_iformula,
+                     reference_sample)
 
 
 # two rules fire together wherever both actions occur
@@ -699,6 +701,20 @@ class TestSampling:
             for seed in range(20):
                 assert sample_world(dd, seed) == reference_sample(dd, random.Random(seed))
 
+    # one stream across all draws of a call: a sampler that drew out of
+    # order between samples, or carried state wrongly from one to the next,
+    # would part from the reference here though each world alone agrees
+    def test_frequencies_match_the_reference_over_one_stream(self, walk_pool):
+        rng = random.Random(17)
+        for dd in walk_pool:
+            sig = dd.signature
+            single = at_instant(random_formula(rng, sig), rng.randint(0, sig.maxinst))
+            for phi in (single, random_iformula(rng, sig)):
+                seed, count = rng.randrange(2**31), rng.randint(1, 40)
+                stream = random.Random(seed)
+                hits = sum(reference_sample(dd, stream).satisfies(phi) for _ in range(count))
+                assert sample_frequency(dd, phi, count, seed) == Fraction(hits, count)
+
     # the sampler's float cuts are exact only because random() draws from
     # the lattice k / 2**53; a Python whose random() left it would fail here
     def test_random_draws_lie_on_the_lattice(self):
@@ -744,7 +760,7 @@ class TestStepTable:
         f = dd.signature.fluents[0]
         phi = ILit(f, dd.signature.vals[f][-1], dd.signature.maxinst)
         calls = [transition_graph, enumerate_worlds, lambda d: marginal(d, phi),
-                 lambda d: sample_world(d, 5)]
+                 lambda d: sample_world(d, 5), lambda d: sample_frequency(d, phi, 50, 5)]
         expected = [outcome(lambda: call(cold)) for call in calls]
         handed_out = [s for w in enumerate_worlds(dd) for s in w.world.states]
         handed_out += sample_world(dd, 5).states
@@ -775,7 +791,7 @@ class TestStepTable:
             f = dd.signature.fluents[0]
             phi = ILit(f, dd.signature.vals[f][0], 0)
             calls = [lambda d: marginal(d, phi), enumerate_worlds,
-                     lambda d: sample_world(d, 3)]
+                     lambda d: sample_world(d, 3), lambda d: sample_frequency(d, phi, 50, 3)]
             # an equal copy has its own table, cold at its first call
             first = [outcome(lambda: call(replace(dd))) for call in calls]
             for call, expected in zip(calls * 2, first * 2):
