@@ -3,9 +3,9 @@
 Defines the domain signature (fluents, actions, value sets, the finite
 instant window), literals and formulas over them, states and partial
 fluent states, weighted outcomes, and the small algebra everything else
-is built on: state update, formula evaluation, satisfaction of
-instant-stamped formulas, and a tableau that decides propositional
-(Herbrand) entailment and gives the ASP emitter its DNF.
+is built on: state update, formula evaluation, satisfaction and
+progression of instant-stamped formulas, and a tableau that decides
+propositional (Herbrand) entailment and gives the ASP emitter its DNF.
 
 Formula nodes are hash-consed in the weak table ``_NODES``: equal formulas
 are one object, compared and hashed by identity, and leave the table with
@@ -245,6 +245,11 @@ _CONSTRUCTORS = {Not: Not, And: And, Or: Or, Implies: Implies}
 _NO_VALUE = dict.fromkeys(_CONSTRUCTORS, lambda *args: None)
 _TRUTH = {Not: operator.not_, And: operator.and_, Or: operator.or_,
           Implies: lambda a, b: b or not a}
+_PROGRESS = {  # _TRUTH over formulas and bools: a bool child folds its parent away
+    Not: lambda a: not a if type(a) is bool else Not(a),
+    And: lambda a, b: a and b if type(a) is bool else b and a if type(b) is bool else And(a, b),
+    Or: lambda a, b: a or b if type(a) is bool else b or a if type(b) is bool else Or(a, b),
+    Implies: lambda a, b: _PROGRESS[Or](_PROGRESS[Not](a), b)}
 
 
 def at_instant(theta: Formula, instant: int) -> IFormula:
@@ -258,6 +263,12 @@ def _holds(state: Mapping[str, str], subject: str, value: str) -> bool:
         return state[subject] == value
     except KeyError:
         raise SignatureError(f"state does not assign {subject!r}") from None
+
+
+def _window(instant: int, maxinst: int) -> int:
+    if not 0 <= instant <= maxinst:
+        raise RangeError(f"instant {instant} outside the window 0..{maxinst}")
+    return instant
 
 
 def eval_formula(state: Mapping[str, str], phi: Formula) -> bool:
@@ -277,36 +288,34 @@ def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
     i-literal ``[L]@I`` holds iff ``L`` is in the state at instant ``I``,
     and raises RangeError past the window; connectives are structural.
     """
-
-    def leaf(il: ILit) -> bool:
-        if not 0 <= il.instant < len(states):
-            raise RangeError(
-                f"instant {il.instant} outside the window 0..{len(states) - 1}"
-            )
-        return _holds(states[il.instant], il.subject, il.value)
-
-    return fold(phi, leaf, _TRUTH)
+    return fold(phi, lambda il: _holds(states[_window(il.instant, len(states) - 1)],
+                                       il.subject, il.value), _TRUTH)
 
 
-def query_mask(phi: IFormula, maxinst: int):
-    """``(bits, truth)``: phi's distinct literals, left to right, each to
-    its bit of a mask, and phi's value under a mask, folded once per mask.
-    A literal outside ``0..maxinst`` raises RangeError here, up front."""
-    bits: dict = {}
-    fold(phi, lambda il: bits.setdefault(il, 1 << len(bits)), _NO_VALUE)
-    for il in bits:
-        if not 0 <= il.instant <= maxinst:
-            raise RangeError(f"instant {il.instant} outside the window 0..{maxinst}")
-    return bits, functools.cache(
-        lambda mask: fold(phi, lambda il: bool(bits[il] & mask), _TRUTH))
+def progression(phi: IFormula, maxinst: int):
+    """Formula progression (Bacchus & Kabanza 2000): ``at`` files phi's
+    distinct literals by instant, raising RangeError for the leftmost one
+    outside ``0..maxinst``; ``step(residual, i, state)`` reads every literal
+    of ``at[i]`` in ``state``, then puts their truths in: what is left is a
+    bool or a node with no bool child, memoised per (residual, i, truths)."""
+    at: dict = {}
+    fold(phi, lambda il: at.setdefault(_window(il.instant, maxinst), {}).setdefault(il),
+         _NO_VALUE)
+
+    @functools.cache
+    def put(residual, i: int, truths: tuple):
+        values = dict(zip(at[i], truths))
+        return fold(residual, lambda il: values.get(il, il), _PROGRESS)
+
+    return at, lambda residual, i, state: put(residual, i, tuple(
+        [_holds(state, il.subject, il.value) for il in at[i]]))
 
 
 def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool]:
-    """``satisfies(·, phi)`` over the window ``0..maxinst``, through
-    ``query_mask``."""
-    bits, truth = query_mask(phi, maxinst)
-    return lambda states: truth(sum([bit for il, bit in bits.items()
-                                     if _holds(states[il.instant], il.subject, il.value)]))
+    """``satisfies(·, phi)`` over the window ``0..maxinst``: ``progression``'s
+    step folded over the instants of phi's literals."""
+    at, step = progression(phi, maxinst)
+    return lambda states: functools.reduce(lambda rest, i: step(rest, i, states[i]), at, phi)
 
 
 _NNF = {

@@ -10,7 +10,8 @@ sampler reads it once per node (a total state) its draws walk through,
 and ``tset``/``transition_graph`` read it.
 ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, used as an oracle against the enumerator.
-``marginal`` is one forward pass over the table, listing no worlds;
+``marginal`` is one forward pass over the table, carrying mass per
+(fluent state, residual of the query) and listing no worlds;
 ``conditional`` sums the enumerated worlds ``core.satisfier`` accepts.
 Both check the window up front; the sampler leaves that to ``satisfies``.
 """
@@ -34,10 +35,9 @@ from .core import (
     IFormula,
     Outcome,
     TRUE,
-    _holds,
     eval_formula,
     outcomes_weight,
-    query_mask,
+    progression,
     satisfier,
     satisfies,
     update,
@@ -160,8 +160,7 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     sig = dd.signature
     moves = _compile(dd)
     result = []
-    for occurring, num, den in _narratives(dd.pprops):
-        rows = _action_rows(sig, occurring, sig.instants)
+    for rows, num, den in _narratives(sig, dd.pprops):
         # a link is (previous link, states before it, instant fired,
         # outcomes, fluents after): only instants where a rule fires add one
         stack = [(0, num * ic.weight.numerator, den * ic.weight.denominator,
@@ -190,28 +189,21 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     return result
 
 
-def _narratives(pprops):
+def _narratives(sig: DomainSignature, pprops):
     """Each occurrence pattern of ``pprops`` with its narrative factor: the
-    set of occurring (action, instant) pairs, and the product of P over
-    them and of 1-P over the rest, as an unreduced numerator, denominator.
-    Probability-1 occurrences are forced; every other action atom is false."""
-    choices = [(True,) if p.prob == 1 else (True, False) for p in pprops]
-    for bits in itertools.product(*choices):
-        num = den = 1
+    action part of the state at each instant, where exactly the occurring
+    (action, instant) pairs are true (the closed world assumption), and the
+    product of P over them and of 1-P over the rest, as an unreduced
+    numerator, denominator.  Probability-1 occurrences are forced."""
+    idle = dict.fromkeys(sig.actions, FALSE)
+    for bits in itertools.product(*[(True,) if p.prob == 1 else (True, False) for p in pprops]):
+        rows, num, den = [idle] * (sig.maxinst + 1), 1, 1
         for p, occurs in zip(pprops, bits):
             n, d = p.prob.numerator, p.prob.denominator
             num, den = num * (n if occurs else d - n), den * d
-        yield {(p.action, p.instant) for p, occurs in zip(pprops, bits) if occurs}, num, den
-
-
-def _action_rows(sig: DomainSignature, occurring, instants) -> list[dict[str, str]]:
-    """Action part of the state at each of ``instants``: exactly the
-    occurring (action, instant) pairs are true, per the closed world
-    assumption."""
-    idle, on = dict.fromkeys(sig.actions, FALSE), defaultdict(dict)
-    for a, i in occurring:
-        on[i][a] = TRUE
-    return [{**idle, **on[i]} if i in on else idle for i in instants]
+            if occurs:
+                rows[p.instant] = {**rows[p.instant], p.action: TRUE}
+        yield rows, num, den
 
 
 def _compile(dd: DomainDescription):
@@ -329,34 +321,32 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     """Probability of an instant-stamped formula, by one exact forward pass
     (the forward algorithm of hidden Markov models): a world's weight is a
     product over instants, so the mass of the worlds alike so far is
-    carried as one sum per (fluent state, mask of phi's literals seen).
+    carried as one sum per (fluent state, residual): what is left of phi
+    once its literals so far are put in, stepped only at instants phi reads.
     It reaches the (total state, instant) pairs enumeration does, earliest
-    instant first, and at ``maxinst`` folds phi once per distinct mask."""
+    instant first, and returns the mass on residual True."""
     sig = dd.signature
-    bits, truth = query_mask(phi, sig.maxinst)
+    at, step = progression(phi, sig.maxinst)
     moves = _compile(dd)
     end = [((), (), 1, 1, 1.0)]  # the window ends: no move out of maxinst
-    idle = _action_rows(sig, (), (0,))[0]  # the action part when nothing occurs
-    mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), 0),
+    idle = dict.fromkeys(sig.actions, FALSE)  # the action part when nothing occurs
+    mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), phi),
                              *ic.weight.as_integer_ratio()) for ic in dd.iprop.head], 1)
     for i in sig.instants:
         here = [p for p in dd.pprops if p.instant == i]
-        lits = [(il, bit) for il, bit in bits.items() if il.instant == i]
-        if not (here or lits) and i < sig.maxinst and all(
+        if not (here or i in at) and i < sig.maxinst and all(
                 not moves(dict(fluents, **idle), i)[0][1] for fluents, _ in mass):
             continue  # no occurrence, literal or rule here: the mass stays as it is
-        patterns = [(_action_rows(sig, occurring, (i,))[0], num, den) for occurring, num, den
-                    in _narratives(here)] if here else [(idle, 1, 1)]
+        patterns = [(rows[i], num, den) for rows, num, den in _narratives(sig, here)]
         steps = []
-        for (fluents, mask), m in mass.items():
+        for (fluents, rest), m in mass.items():
             for row, num, den in patterns:
                 state = dict(fluents, **row)
-                mask_i = mask + sum([bit for il, bit in lits
-                                     if _holds(state, il.subject, il.value)])
-                steps += [((after, mask_i), m * num * n, den * d) for after, _, n, d, _
+                rest_i = step(rest, i, state) if i in at else rest
+                steps += [((after, rest_i), m * num * n, den * d) for after, _, n, d, _
                           in (moves(state, i) if i < sig.maxinst else end)]
         mass, total = _collect(steps, total)
-    return Fraction(sum(m for (_, mask), m in mass.items() if truth(mask)), total)
+    return Fraction(sum(m for (_, rest), m in mass.items() if rest is True), total)
 
 
 def _collect(steps, total: int):

@@ -139,6 +139,20 @@ class TestSatisfies:
             satisfier(phi, 3)
         assert str(err.value) == f"instant {instant} outside the window 0..3"
 
+    def test_progression_merges_residuals(self):
+        # whatever F is at 0, both disjuncts leave the same interned node
+        fa, gb = ILit("F", "a", 0), ILit("G", "b", 1)
+        phi = Or(And(fa, gb), And(Not(fa), gb))
+        at, step = core.progression(phi, 1)
+        assert {i: list(lits) for i, lits in at.items()} == {0: [fa], 1: [gb]}
+        for f in ("a", "c"):
+            rest = step(phi, 0, {"F": f, "G": "c"})
+            assert rest is gb
+            assert step(rest, 1, {"F": f, "G": "b"}) is True
+            assert step(rest, 1, {"F": f, "G": "c"}) is False
+        with pytest.raises(RangeError, match=r"^instant 2 outside the window 0\.\.1$"):
+            core.progression(Or(ILit("G", "b", 2), phi), 1)
+
     def test_stamping_matches_pointwise_evaluation(self):
         rng = random.Random(23)
         from pec import DomainSignature
