@@ -115,13 +115,9 @@ def cmd_graph(args) -> int:
         for e in edges
     )
     nodes = sorted({r[0] for r in rows} | {r[2] for r in rows})
-    lines = ["digraph transitions {"]
-    for node in nodes:
-        lines.append(f'  "{node}";')
-    for source, acts, target, weight in rows:
-        lines.append(f'  "{source}" -> "{target}" [label="{acts}, {weight}"];')
-    lines.append("}")
-    print("\n".join(lines))
+    print("\n".join(["digraph transitions {", *(f'  "{node}";' for node in nodes), *(
+        f'  "{source}" -> "{target}" [label="{acts}, {weight}"];'
+        for source, acts, target, weight in rows), "}"]))
     return EXIT_OK
 
 

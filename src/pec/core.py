@@ -1,11 +1,12 @@
 """Core vocabulary for probabilistic event calculus domains.
 
-Defines the domain signature (fluents, actions, value sets, the finite
-instant window), literals and formulas over them, states and partial
-fluent states, weighted outcomes, and the small algebra everything else
-is built on: state update, formula evaluation, satisfaction and
-progression of instant-stamped formulas, and a tableau that decides
-propositional (Herbrand) entailment and gives the ASP emitter its DNF.
+Defines the frozen ``Record`` base of the value classes, the domain
+signature (fluents, actions, value sets, the finite instant window),
+literals and formulas over them, states and partial fluent states,
+weighted outcomes, and the algebra everything else is built on: state
+update, formula evaluation, satisfaction and progression of
+instant-stamped formulas, and a tableau that decides propositional
+(Herbrand) entailment and gives the ASP emitter its DNF.
 
 Formula nodes are hash-consed in the weak table ``_NODES``: equal formulas
 are one object, compared and hashed by identity, and leave the table with
@@ -23,7 +24,6 @@ import functools
 import itertools
 import operator
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -72,11 +72,58 @@ def format_state(state: Mapping[str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Signature
+# Records and the signature
 
 
-@dataclass(frozen=True)
-class DomainSignature:
+class Record:
+    """A frozen value class.  Its fields are its annotations, its parents'
+    first, with defaults as class attributes.  Each subclass gets an
+    ``__init__`` taking them in that order, then running its own
+    ``__post_init__`` if any; ``==``, ``hash``, ``repr`` and ``match`` read
+    them in the same order, as with a frozen dataclass."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = names = cls._fields + tuple(
+            n for n in cls.__annotations__ if n not in cls._fields)
+        if any(isinstance(getattr(cls, n, None), (list, dict, set)) for n in names):
+            raise TypeError(f"{cls.__name__} has a mutable default")
+        # compiled per class: a generic (*args) __init__ takes half again as long;
+        # no field can be named __cls or __set, a class body would mangle it
+        params = ", ".join(f"{n}=__cls.{n}" if hasattr(cls, n) else n for n in names)
+        body = [f"__set(self, {n!r}, {n})" for n in names]
+        body += ["self.__post_init__()"] * hasattr(cls, "__post_init__")
+        scope = {"__cls": cls, "__set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n " + ("\n ".join(body) or "pass"), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes``, rebuilt through its ``__init__``."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+class DomainSignature(Record):
     """The vocabulary a domain is written in.
 
     ``vals`` maps each fluent to its non-empty value tuple; actions are
@@ -158,10 +205,7 @@ class _Node:
                 object.__setattr__(node, name, value)
         return node
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = Record.__setattr__
 
     def __reduce__(self):  # flat, so that pickle does not recurse once per level
         index: dict = {}  # post order, each child an index of an earlier entry
@@ -402,8 +446,7 @@ def update(base: Mapping[str, str], delta: Mapping[str, str]) -> dict[str, str]:
     return out
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """A weighted effect alternative: a partial fluent state and its weight.
 
     Effect insertion order is preserved (it drives rendering and the

@@ -23,7 +23,6 @@ import math
 import random
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -34,10 +33,12 @@ from .core import (
     FALSE,
     IFormula,
     Outcome,
+    Record,
     TRUE,
     eval_formula,
     outcomes_weight,
     progression,
+    replace,
     satisfier,
     satisfies,
     update,
@@ -47,8 +48,7 @@ from .syntax import CProp, DomainDescription, HProposition
 _TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its moves)
 
 
-@dataclass(frozen=True)
-class FiniteWorld:
+class FiniteWorld(Record):
     """A world over the finite window: one total state per instant."""
 
     signature: DomainSignature
@@ -68,8 +68,7 @@ class FiniteWorld:
         return hash(self.key())
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """An initial choice plus one effect choice per occurrence instant."""
 
     initial: Outcome
@@ -78,21 +77,16 @@ class Trace:
 
 def trace_eval(tr: Trace) -> Fraction:
     """Evaluation of a trace: the product of its chosen weights."""
-    result = tr.initial.weight
-    for o in tr.effects.values():
-        result *= o.weight
-    return result
+    return math.prod((o.weight for o in tr.effects.values()), start=tr.initial.weight)
 
 
-@dataclass(frozen=True)
-class WeightedWorld:
+class WeightedWorld(Record):
     world: FiniteWorld
     weight: Fraction
     traces: tuple[Trace, ...]
 
 
-@dataclass(frozen=True)
-class WorldReport:
+class WorldReport(Record):
     """Independent verdicts on the three well-behavedness conditions."""
 
     cwa: bool
@@ -104,8 +98,7 @@ class WorldReport:
         return self.cwa and self.initial and self.justified
 
 
-@dataclass(frozen=True)
-class TransitionEdge:
+class TransitionEdge(Record):
     source: Mapping[str, str]  # total fluent state
     actions: tuple[str, ...]  # actions true in the source state
     target: Mapping[str, str]
@@ -135,13 +128,8 @@ def activated_cprop(dd: DomainDescription, state: Mapping[str, str],
 def narrative_eval(dd: DomainDescription, world: FiniteWorld) -> Fraction:
     """Product over occurrence statements of P if performed in the world,
     else 1-P; 1 for the empty narrative."""
-    result = Fraction(1)
-    for p in dd.pprops:
-        if world.states[p.instant][p.action] == TRUE:
-            result *= p.prob
-        else:
-            result *= 1 - p.prob
-    return result
+    return math.prod((p.prob if world.states[p.instant][p.action] == TRUE else 1 - p.prob
+                      for p in dd.pprops), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +147,10 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     """
     sig = dd.signature
     moves = _compile(dd)
+    idle = dict.fromkeys(sig.actions, FALSE)
     result = []
-    for rows, num, den in _narratives(sig, dd.pprops):
+    for acting, num, den in _narratives(idle, dd.pprops):
+        rows = [acting.get(i, idle) for i in sig.instants]
         # a link is (previous link, states before it, instant fired,
         # outcomes, fluents after): only instants where a rule fires add one
         stack = [(0, num * ic.weight.numerator, den * ic.weight.denominator,
@@ -189,20 +179,20 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     return result
 
 
-def _narratives(sig: DomainSignature, pprops):
+def _narratives(idle: Mapping[str, str], pprops):
     """Each occurrence pattern of ``pprops`` with its narrative factor: the
-    action part of the state at each instant, where exactly the occurring
-    (action, instant) pairs are true (the closed world assumption), and the
-    product of P over them and of 1-P over the rest, as an unreduced
-    numerator, denominator.  Probability-1 occurrences are forced."""
-    idle = dict.fromkeys(sig.actions, FALSE)
+    action part of the state at each instant of an occurrence (``idle``, all
+    false, elsewhere), where exactly the occurring (action, instant) pairs
+    are true (the closed world assumption), and the product of P over them
+    and of 1-P over the rest, as an unreduced numerator, denominator.
+    Probability-1 occurrences are forced."""
     for bits in itertools.product(*[(True,) if p.prob == 1 else (True, False) for p in pprops]):
-        rows, num, den = [idle] * (sig.maxinst + 1), 1, 1
+        rows, num, den = {}, 1, 1
         for p, occurs in zip(pprops, bits):
             n, d = p.prob.numerator, p.prob.denominator
             num, den = num * (n if occurs else d - n), den * d
             if occurs:
-                rows[p.instant] = {**rows[p.instant], p.action: TRUE}
+                rows[p.instant] = {**rows.get(p.instant, idle), p.action: TRUE}
         yield rows, num, den
 
 
@@ -281,12 +271,7 @@ def check_world(dd: DomainDescription, world: FiniteWorld) -> WorldReport:
     matching = [ic for ic in dd.iprop.head if dict(ic.effect) == fluents[0]]
     initial = bool(matching)
 
-    occ = []
-    for i in sig.instants:
-        c = activated_cprop(dd, states[i], instant=i)
-        if c is not None:
-            occ.append((i, c))
-    occ_instants = [i for i, _ in occ]
+    occ = {i: c for i in sig.instants if (c := activated_cprop(dd, states[i], instant=i))}
 
     def choice_ok(chosen: dict[int, Outcome]) -> bool:
         # justified change over every pair: walking j upward accumulates
@@ -300,17 +285,10 @@ def check_world(dd: DomainDescription, world: FiniteWorld) -> WorldReport:
                     return False
         return True
 
-    valid = []
-    for combo in itertools.product(*(c.head for _, c in occ)):
-        chosen = dict(zip(occ_instants, combo))
-        if choice_ok(chosen):
-            valid.append(chosen)
-    justified = bool(valid)
-
-    traces = ()
-    if cwa and initial and justified:
-        traces = tuple(Trace(matching[0], chosen) for chosen in valid)
-    return WorldReport(cwa, initial, justified, traces)
+    valid = [chosen for combo in itertools.product(*(c.head for c in occ.values()))
+             if choice_ok(chosen := dict(zip(occ, combo)))]
+    traces = tuple(Trace(matching[0], chosen) for chosen in valid) if cwa and initial else ()
+    return WorldReport(cwa, initial, bool(valid), traces)  # justified: some choice fits
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +310,15 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     idle = dict.fromkeys(sig.actions, FALSE)  # the action part when nothing occurs
     mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), phi),
                              *ic.weight.as_integer_ratio()) for ic in dd.iprop.head], 1)
+    occurring = defaultdict(list)  # instant -> the occurrences at it
+    for p in dd.pprops:
+        occurring[p.instant].append(p)
     for i in sig.instants:
-        here = [p for p in dd.pprops if p.instant == i]
-        if not (here or i in at) and i < sig.maxinst and all(
+        if not (occurring[i] or i in at) and i < sig.maxinst and all(
                 not moves(dict(fluents, **idle), i)[0][1] for fluents, _ in mass):
             continue  # no occurrence, literal or rule here: the mass stays as it is
-        patterns = [(rows[i], num, den) for rows, num, den in _narratives(sig, here)]
+        patterns = [(rows.get(i, idle), num, den)
+                    for rows, num, den in _narratives(idle, occurring[i])]
         steps = []
         for (fluents, rest), m in mass.items():
             for row, num, den in patterns:
@@ -436,13 +417,9 @@ def restrict(dd: DomainDescription, mode: str,
              instant: int | None = None) -> DomainDescription:
     """Truncate the narrative: keep occurrences at instants ``<=``/``<``
     the given one, or none at all (mode ``empty``)."""
-    if mode == "empty":
-        keep = lambda p: False
-    elif mode == "leq":
-        keep = lambda p: p.instant <= instant
-    elif mode == "lt":
-        keep = lambda p: p.instant < instant
-    else:
+    keep = {"empty": lambda p: False, "leq": lambda p: p.instant <= instant,
+            "lt": lambda p: p.instant < instant}.get(mode)
+    if keep is None:
         raise ValueError(f"mode must be 'leq', 'lt' or 'empty', not {mode!r}")
     if mode != "empty" and instant is None:
         raise ValueError(f"mode {mode!r} needs an instant")
@@ -453,14 +430,9 @@ def indistinguishable_up_to(w: FiniteWorld, w2: FiniteWorld,
                             instant: int) -> bool:
     """Fluent states equal at every instant <= ``instant`` and action
     values equal at every instant strictly below it."""
-    sig = w.signature
-    for i in range(instant + 1):
-        if w.fluent_state(i) != w2.fluent_state(i):
-            return False
-    for i in range(instant):
-        if sig.action_part(w.states[i]) != sig.action_part(w2.states[i]):
-            return False
-    return True
+    part = w.signature.action_part
+    return (all(w.fluent_state(i) == w2.fluent_state(i) for i in range(instant + 1))
+            and all(part(w.states[i]) == part(w2.states[i]) for i in range(instant)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .core import (
     And,
@@ -50,6 +49,7 @@ from .core import (
     Or,
     Outcome,
     PecError,
+    Record,
     TRUE,
     FALSE,
     at_instant,
@@ -70,8 +70,7 @@ class PecSyntaxError(PecError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(Record):
     """One violated well-formedness condition, tied to a source location."""
 
     message: str
@@ -84,8 +83,7 @@ class Issue:
         return f"line {self.line}, col {self.col}: {self.message}{tag}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     issues: tuple[Issue, ...]
 
     def ok(self) -> bool:
@@ -107,40 +105,34 @@ class DomainValidationError(PecError):
 # Propositions
 
 
-@dataclass(frozen=True)
-class VProp:
+class VProp(Record):
     fluent: str
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CProp:
+class CProp(Record):
     body: Formula
     head: tuple[Outcome, ...]
 
 
-@dataclass(frozen=True)
-class IProp:
+class IProp(Record):
     head: tuple[Outcome, ...]
 
 
-@dataclass(frozen=True)
-class PProp:
+class PProp(Record):
     action: str
     instant: int
     prob: Fraction
 
 
-@dataclass(frozen=True)
-class HProposition:
+class HProposition(Record):
     """A judgment that a query holds with a given probability."""
 
     query: IFormula
     prob: Fraction
 
 
-@dataclass(frozen=True)
-class DomainDescription:
+class DomainDescription(Record):
     signature: DomainSignature
     vprops: tuple[VProp, ...]
     cprops: tuple[CProp, ...]
@@ -192,8 +184,7 @@ def _lex(text: str) -> list[_Token]:
 # Statements by kind (pre-validation)
 
 
-@dataclass
-class _RawOutcome:
+class _RawOutcome(Record):
     literals: list[tuple[str, str, tuple[int, int]]]  # subject, value, loc
     weight: Fraction
     loc: tuple[int, int]
@@ -202,29 +193,25 @@ class _RawOutcome:
         return {s: v for s, v, _ in self.literals}
 
 
-@dataclass
-class _RawRule:
+class _RawRule(Record):
     """A causal rule, or the initial distribution when ``body`` is None."""
 
     outcomes: list[_RawOutcome]
     loc: tuple[int, int]
     body: Formula | None = None
-    body_lits: list[tuple[str, str, tuple[int, int]]] = field(default_factory=list)
+    body_lits: Sequence[tuple[str, str, tuple[int, int]]] = ()
 
     def head(self) -> tuple[Outcome, ...]:
         return tuple(Outcome(o.effect(), o.weight) for o in self.outcomes)
 
 
-@dataclass
 class _Statements:
-    """A domain text's statements filed by kind, each kind in source order."""
+    """A domain text's statements filed by kind, each kind in source order:
+    rules as ``_RawRule``s, the rest as (statement, loc) pairs."""
 
-    vprops: list[tuple[VProp, tuple[int, int]]] = field(default_factory=list)
-    actions: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
-    maxinsts: list[tuple[int, tuple[int, int]]] = field(default_factory=list)
-    iprops: list[_RawRule] = field(default_factory=list)
-    cprops: list[_RawRule] = field(default_factory=list)
-    pprops: list[tuple[PProp, tuple[int, int]]] = field(default_factory=list)
+    def __init__(self):
+        self.vprops, self.actions, self.maxinsts = [], [], []
+        self.iprops, self.cprops, self.pprops = [], [], []
 
 
 class _Parser:

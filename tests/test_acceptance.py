@@ -9,7 +9,6 @@ import math
 import random
 import time
 import timeit
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,6 +28,7 @@ from pec import (
     marginal,
     narrative_eval,
     parse_query,
+    replace,
     restrict,
     sample_frequency,
     trace_eval,

@@ -352,3 +352,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+
+class TestImports:
+    def test_cli_loads_neither_dataclasses_nor_inspect(self):
+        # `import dataclasses` alone costs a `pec` process about 8 ms, most
+        # of it `inspect`; -S keeps site's own imports out of the check
+        code = ("import sys, pec.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,21 +14,30 @@ from pec import (
     DomainSignature,
     FALSE,
     ILit,
+    IProp,
+    Issue,
     Lit,
     Not,
     Or,
     Implies,
     Outcome,
     PecError,
+    PProp,
     RangeError,
+    Record,
     SignatureError,
     TRUE,
+    ValidationReport,
+    VProp,
     at_instant,
+    enumerate_worlds,
     eval_formula,
     format_decimal,
     herbrand_entails,
     outcomes_weight,
+    replace,
     satisfies,
+    transition_graph,
     update,
 )
 from pec import core, marginal, parse_domain, parse_query
@@ -411,3 +421,100 @@ class TestSignature:
 
     def test_format_state_sorts_without_braces(self):
         assert format_state({"G": "w", "F": "v"}) == "F=v, G=w"
+
+
+class TestRecords:
+    """The value classes behave as the frozen dataclasses they replace."""
+
+    def test_repr_matches_the_dataclass_form(self, coin):
+        # strings taken from the dataclass versions of these classes
+        assert (repr(VProp("Coin", ("Heads", "Tails")))
+                == "VProp(fluent='Coin', values=('Heads', 'Tails'))")
+        assert repr(Issue("bad", 2, 5)) == "Issue(message='bad', line=2, col=5, condition=None)"
+        assert (repr(Issue("bad", 2, 5, condition="(i)"))
+                == "Issue(message='bad', line=2, col=5, condition='(i)')")
+        assert (repr(PProp("Toss", 1, Fraction(1, 2)))
+                == "PProp(action='Toss', instant=1, prob=Fraction(1, 2))")
+        assert (repr(Outcome({"Coin": "Heads"}, "49/100"))
+                == "Outcome(effect={'Coin': 'Heads'}, weight=Fraction(49, 100))")
+        assert (repr(enumerate_worlds(coin)[0].traces[0])
+                == "Trace(initial=Outcome(effect={'Coin': 'Heads'}, weight=Fraction(1, 1)), "
+                   "effects={1: Outcome(effect={'Coin': 'Heads'}, weight=Fraction(49, 100))})")
+        assert (repr(transition_graph(coin)[0])
+                == "TransitionEdge(source={'Coin': 'Heads'}, actions=('Toss',), "
+                   "target={'Coin': 'Heads'}, weight=Fraction(51, 100))")
+
+    def test_equality_needs_the_same_class(self):
+        class Other(Record):
+            head: tuple
+
+        assert IProp(()) == IProp(()) and IProp(()) != IProp((Outcome({}, 1),))
+        assert IProp(()) != ValidationReport(()) and IProp(()) != Other(())
+        assert Other(()) == Other(()) and IProp(()).__eq__(()) is NotImplemented
+
+    def test_equal_records_hash_alike(self):
+        pairs = [(VProp("F", ("a", "b")), VProp("F", ("a", "b"))),
+                 (PProp("A", 1, Fraction(1, 2)), PProp("A", 1, Fraction(2, 4))),
+                 (Issue("m", 1, 2), Issue("m", 1, 2, None))]
+        for one, other in pairs:
+            assert one == other and hash(one) == hash(other)
+        assert len({one for one, _ in pairs} | {other for _, other in pairs}) == 3
+
+    def test_fields_cannot_be_assigned_or_deleted(self, coin):
+        for record, name in [(coin, "pprops"), (coin.signature, "maxinst"),
+                             (coin.iprop.head[0], "weight"), (Issue("m", 1, 2), "condition")]:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            assert getattr(record, name) is before
+
+    def test_replace_rebuilds_through_init(self, coin):
+        with pytest.raises(SignatureError, match="maxinst must be at least 1"):
+            replace(coin.signature, maxinst=0)
+        assert replace(coin.iprop.head[0], weight="1/2").weight == Fraction(1, 2)
+        later = replace(coin, pprops=())
+        assert later.pprops == () and later.cprops is coin.cprops and coin.pprops
+        assert replace(coin) == coin and replace(coin) is not coin
+        with pytest.raises(TypeError):
+            replace(coin, narrative=())
+
+    @pytest.mark.parametrize("build", [
+        lambda: PProp("A", 1), lambda: PProp("A", 1, 1, 1), lambda: Issue("m", 1),
+        lambda: Issue("m", 1, 2, line=3), lambda: Issue("m", 1, 2, where="here"),
+    ])
+    def test_wrong_fields_raise(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_keywords_and_defaults(self):
+        assert Issue(col=2, line=1, message="m") == Issue("m", 1, 2, None)
+        assert Issue("m", 1, 2, condition="(i)").condition == "(i)"
+
+    def test_match_takes_the_fields_in_order(self):
+        match PProp("Toss", 1, Fraction(1, 2)):
+            case PProp(action, instant, prob=Fraction(denominator=2)):
+                assert (action, instant) == ("Toss", 1)
+            case _:
+                pytest.fail("no match")
+
+    def test_mutable_defaults_are_refused(self):
+        with pytest.raises(TypeError, match="mutable default"):
+            class Shared(Record):
+                items: list = []
+
+    def test_deepcopy_of_the_shipped_domains(self, coin, antibiotic, keys):
+        for dd, query in [(coin, "[Coin=Heads]@2"), (antibiotic, "[Bacteria=Absent]@4"),
+                          (keys, "[LockedOut]@3")]:
+            again = copy.deepcopy(dd)
+            assert again == dd and again is not dd
+            assert again.cprops[0].body is dd.cprops[0].body  # formulas are interned
+            assert marginal(again, parse_query(query, again.signature)) == marginal(
+                dd, parse_query(query, dd.signature))
+
+    def test_a_domain_can_be_weakly_referenced(self, coin):
+        ref = weakref.ref(coin)
+        assert ref() is coin

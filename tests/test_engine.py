@@ -7,7 +7,6 @@ import itertools
 import random
 import time
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,6 +40,7 @@ from pec import (
     narrative_eval,
     parse_domain,
     parse_query,
+    replace,
     restrict,
     sample_frequency,
     sample_world,
@@ -391,6 +391,22 @@ class TestGroupedWalk:
         elapsed = time.process_time() - start
         assert value == 1 - Fraction(3, 4) ** k
         assert elapsed < bound, f"marginal took {elapsed:.3f} s"
+
+    def test_an_occurrence_at_every_instant_costs_linear_time(self):
+        # a fair flip certain at each of 8,000 instants: the pass reads the
+        # occurrences of an instant from a table built once (0.10 s on a
+        # 2-core x86-64 VM, Python 3.11), where filtering every occurrence
+        # at every instant took 1.4 s
+        n = 8000
+        dd = parse_domain(
+            f"maxinst {n}\nfluent F takes-values {{On, Off}}\naction A\n"
+            "initially-one-of {({F=On}, 1)}\nA causes-one-of {({F=On}, 1/2), ({F=Off}, 1/2)}\n"
+            + "".join(f"A performed-at {i}\n" for i in range(n)))
+        start = time.process_time()
+        value = marginal(dd, ILit("F", "Off", n))
+        elapsed = time.process_time() - start
+        assert value == Fraction(1, 2)
+        assert elapsed < 0.5, f"marginal took {elapsed:.2f} s"
 
     def test_transitions_sum_outcomes_by_target(self, walk_pool):
         # keys (index 2) has clashing states, so its graph raises
@@ -793,7 +809,7 @@ class TestStepTable:
             handed_out += [s for e in transition_graph(dd) for s in (e.source, e.target)]
         for state in handed_out:
             for key in state:
-                state[key] = "XXX"  # the dataclasses are frozen, their dicts are not
+                state[key] = "XXX"  # the records are frozen, their dicts are not
         assert [outcome(lambda: call(dd)) for call in calls] == expected
 
     def test_domain_is_not_kept_alive(self):
