@@ -10,8 +10,8 @@ instant-stamped formulas, and a tableau that decides propositional
 
 Formula nodes are hash-consed in the weak table ``_NODES``: equal formulas
 are one object, compared and hashed by identity, and leave the table with
-their domain.  Each node memoises its NNF and its negation's, so the
-tableau folds a rule body once, not once per pair of rules compared.
+their domain.  The tableau reads them as they are, each node with a
+sign, so it builds no node of its own.
 
 States are plain ``dict[str, str]`` mappings from symbol to value;
 partial fluent states are the same with only some fluents present.
@@ -24,8 +24,8 @@ import functools
 import itertools
 import operator
 import weakref
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
 
 TRUE = "true"
 FALSE = "false"
@@ -193,7 +193,7 @@ _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class _Node:
     """An interned formula node (hash-consing: Filliatre & Conchon 2006)."""
 
-    __slots__ = ("_nnf", "__weakref__")  # a subclass's own slots are its fields
+    __slots__ = ("__weakref__",)  # a subclass's own slots are its fields
 
     def __new__(cls, *args):
         if len(args) != len(cls.__slots__):
@@ -254,8 +254,8 @@ def _unflatten(entries):  # the inverse of ``_Node.__reduce__``, interning botto
     return built[-1]
 
 
-Formula = Union[Lit, Not, And, Or, Implies]
-IFormula = Union[ILit, Not, And, Or, Implies]
+Formula = Lit | Not | And | Or | Implies
+IFormula = ILit | Not | And | Or | Implies
 
 
 def fold(phi, leaf: Callable, ops: Mapping[type, Callable]):
@@ -362,56 +362,45 @@ def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool
     return lambda states: functools.reduce(lambda rest, i: step(rest, i, states[i]), at, phi)
 
 
-_NNF = {
-    Not: lambda a: (a[1], a[0]),
-    And: lambda a, b: (And(a[0], b[0]), Or(a[1], b[1])),
-    Or: lambda a, b: (Or(a[0], b[0]), And(a[1], b[1])),
-    Implies: lambda a, b: (Or(a[1], b[0]), And(a[0], b[1])),
-}
-
-
-def _nnf_pair(phi) -> tuple:
-    """``(NNF of phi, NNF of !phi)``, memoised; ``Not`` wraps only literals."""
-    if type(phi) in (Lit, ILit):  # no memo: Not(phi)'s key would keep phi alive
-        return phi, Not(phi)
-    if getattr(phi, "_nnf", None) is None:  # the slot starts unset
-        object.__setattr__(phi, "_nnf", fold(phi, lambda lit: (lit, Not(lit)), _NNF))
-    return phi._nnf
-
-
 def _branches(pending, ors_last: bool):
-    """``open_branches`` from the linked list ``pending`` of NNF nodes; with
-    ``ors_last``, ``|`` forks only once no literal or ``&`` is left."""
-    todo = [({}, pending, None)]  # (branch, pending nodes, deferred |s)
+    """``open_branches`` from the linked list ``pending`` of signed nodes
+    ``(node, sign, rest)``; with ``ors_last``, a fork waits until no
+    literal or conjunctive node is left."""
+    todo = [({}, pending, None)]  # (branch, pending signed nodes, deferred forks)
     while todo:
         branch, pending, ors = todo.pop()
         while pending is not None or ors is not None:
             if pending is None:
-                (node, ors), defer = ors, False
+                (node, sign, ors), defer = ors, False
             else:
-                (node, pending), defer = pending, ors_last
+                (node, sign, pending), defer = pending, ors_last
             kind = type(node)
-            if kind is And:
-                pending = (node.left, (node.right, pending))
-            elif kind is Or and defer:
-                ors = (node, ors)
-            elif kind is Or:
-                todo.append((dict(branch), (node.right, pending), ors))
-                pending = (node.left, pending)
-            else:
-                lit, sign = (node.arg, False) if kind is Not else (node, True)
-                if branch.setdefault(lit, sign) != sign:
-                    break
+            if kind is Not:
+                pending = (node.arg, not sign, pending)
+            elif kind in (And, Or, Implies):
+                left_sign = sign != (kind is Implies)
+                if sign == (kind is And):  # conjunctive
+                    pending = (node.left, left_sign, (node.right, sign, pending))
+                elif defer:
+                    ors = (node, sign, ors)
+                else:
+                    todo.append((dict(branch), (node.right, sign, pending), ors))
+                    pending = (node.left, left_sign, pending)
+            elif branch.setdefault(node, sign) != sign:
+                break
         else:
             yield branch
 
 
 def open_branches(phi: Formula):
-    """The open branches of an analytic tableau for ``phi``, lazily: dicts
-    from literal (an atom) to sign in order of first occurrence, which form
-    a DNF of ``phi`` in product-expansion order.  The NNF is expanded depth
-    first and left to right; a literal with both signs closes a branch."""
-    return _branches((_nnf_pair(phi)[0], None), False)
+    """The open branches of a signed analytic tableau (Smullyan 1968) for
+    ``phi``, lazily: dicts from literal (an atom) to sign in order of first
+    occurrence, which form a DNF of ``phi`` in product-expansion order.
+    ``Not`` flips a node's sign; a node is conjunctive when its sign says
+    so (``&`` true, ``|`` or ``->`` false) and forks otherwise.  Expansion
+    is depth first and left to right; a literal with both signs closes a
+    branch."""
+    return _branches((phi, True, None), False)
 
 
 def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
@@ -419,12 +408,12 @@ def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
 
     Value exclusivity is deliberately not assumed: ``F=V & F=V'`` is
     satisfiable.  ``theta`` entails ``theta_prime`` when the tableau for
-    ``!theta_prime & theta`` closes.  The goal comes first and ``|`` forks
-    last, so a body with the goal as a conjunct is decided in linear time;
-    the cost grows with the ``|`` forks searched, not with distinct literals.
+    ``theta_prime`` signed false and ``theta`` signed true closes.  The
+    goal comes first and forks come last, so a body with the goal as a
+    conjunct is decided in linear time; the cost grows with the forks
+    searched, not with distinct literals.
     """
-    pending = (_nnf_pair(theta_prime)[1], (_nnf_pair(theta)[0], None))
-    return next(_branches(pending, True), None) is None
+    return next(_branches((theta_prime, False, (theta, True, None)), True), None) is None
 
 
 # ---------------------------------------------------------------------------

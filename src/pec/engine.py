@@ -23,8 +23,8 @@ import math
 import random
 import weakref
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .core import (
     ConcurrentActivation,

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Container, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Sequence
 
 from .core import (
     And,

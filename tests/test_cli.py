@@ -355,12 +355,21 @@ class TestUsage:
 
 
 class TestImports:
-    def test_cli_loads_neither_dataclasses_nor_inspect(self):
-        # `import dataclasses` alone costs a `pec` process about 8 ms, most
-        # of it `inspect`; -S keeps site's own imports out of the check
-        code = ("import sys, pec.cli; "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    @staticmethod
+    def loaded(*names):
+        """Which of ``names`` ``import pec.cli`` loads; -S keeps site's own
+        imports out of the check."""
+        code = f"import sys, pec.cli; print(sorted({set(names)!r} & set(sys.modules)))"
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                               timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        return proc.stdout
+
+    def test_cli_loads_neither_dataclasses_nor_inspect(self):
+        # `import dataclasses` alone costs a `pec` process about 8 ms, most
+        # of it `inspect`
+        assert self.loaded("dataclasses", "inspect") == "[]\n"
+
+    def test_cli_loads_no_typing(self):
+        # `typing` costs 5-8 ms of `import pec.cli` where site has not loaded it
+        assert self.loaded("typing") == "[]\n"

@@ -244,33 +244,24 @@ class TestHerbrandEntails:
         assert not herbrand_entails(body, Lit("Stop", TRUE))
         assert time.perf_counter() - start < 0.1
 
-    def test_validation_folds_each_body_once(self, monkeypatch):
-        # condition (i) compares every ordered pair of rule bodies; the
-        # NNF each comparison reads is folded once per body, so the
-        # number of folds grows linearly with the rules, not with pairs
-        def rules_text(n):
-            values = ", ".join(f"v{n}_{i}" for i in range(n))
-            rules = "".join(
-                f"A & F=v{n}_{i} & !(G & F=v{n}_{(i + 1) % n}) causes-one-of "
-                f"{{({{F=v{n}_{(i + 1) % n}}}, 1)}}\n" for i in range(n))
-            return (f"maxinst 2\nfluent F takes-values {{{values}}}\n"
-                    "fluent G takes-values {true, false}\naction A\n"
-                    f"initially-one-of {{({{F=v{n}_0, G}}, 1)}}\n" + rules)
-
-        calls = []
-        fold = core.fold
-
-        def counting_fold(*args):
-            calls.append(1)
-            return fold(*args)
-
-        monkeypatch.setattr(core, "fold", counting_fold)
-        counts = []
-        for n in (10, 20):
-            calls.clear()
-            parse_domain(rules_text(n))
-            counts.append(len(calls))
-        assert 0 < counts[0] and counts[1] / counts[0] <= 2.5
+    def test_tableau_builds_no_formula_node(self):
+        # the tableau reads each node with a sign, so deciding entailment
+        # or listing a DNF interns no node (no NNF copy, no Not(literal))
+        sig = parse_domain("maxinst 2\nfluent F takes-values {a, b}\n"
+                           "fluent G takes-values {true, false}\naction A\n"
+                           "initially-one-of {({F=a, G}, 1)}\n").signature
+        bodies = [parse_query(text, sig) for text in (
+            "[A]@0 & !([F=a]@0 -> ([G]@1 | ![F=b]@1 & [A]@1))",
+            "!(([F=a]@1 | [G]@0) & !([A]@1 -> !![F=b]@0))",
+            "([F=b]@0 -> [G]@1) | (!([A]@0 | [F=a]@1) & ([G]@0 -> ![A]@1))",
+            "![G]@1",
+        )]
+        before = len(core._NODES)
+        for theta in bodies:
+            assert list(core.open_branches(theta))
+            for theta_prime in bodies:
+                herbrand_entails(theta, theta_prime)
+        assert len(core._NODES) == before
 
 
 class TestInterning:
