@@ -2,18 +2,17 @@
 
 The model of a domain assigns each well-behaved world a weight: the
 narrative evaluation of the world times the summed evaluations of its
-traces.  Every decision of the form "which rule fires in this total
-state, and where can it go" is made once, by the compiled one-step
-table of ``_compile``, one entry per next fluent state, kept while the
-domain lives: enumeration walks it, reaching each world once, the
-sampler reads it once per node (a total state) its draws walk through,
-and ``tset``/``transition_graph`` read it.
-``check_world`` stays an independent brute-force judge of the three
-well-behavedness conditions, used as an oracle against the enumerator.
-``marginal`` is one forward pass over the table, carrying mass per
-(fluent state, residual of the query) and listing no worlds;
-``conditional`` sums the enumerated worlds ``core.satisfier`` accepts.
-Both check the window up front; the sampler leaves that to ``satisfies``.
+traces.  ``_compile`` interns a domain once, for as long as it lives: an
+int id per reached fluent state, and per node (a fluent id under the
+actions occurring) its total state and, from its first step, where it
+can go.  ``marginal`` is one forward pass over the nodes, carrying mass
+per (fluent id, residual of the query) and listing no worlds; enumeration
+walks them depth first, reaching each world once; the sampler draws along
+them; ``tset``/``transition_graph`` reach them from a state dict.
+``conditional`` sums the enumerated worlds ``core.satisfier`` accepts,
+and ``check_world`` stays an independent brute-force judge of the three
+well-behavedness conditions, an oracle against the enumerator.  Queries
+check the window up front; the sampler leaves that to ``satisfies``.
 """
 
 from __future__ import annotations
@@ -22,30 +21,17 @@ import itertools
 import math
 import random
 import weakref
+from _thread import allocate_lock
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .core import (
-    ConcurrentActivation,
-    ConditionZero,
-    DomainSignature,
-    FALSE,
-    IFormula,
-    Outcome,
-    Record,
-    TRUE,
-    eval_formula,
-    outcomes_weight,
-    progression,
-    replace,
-    satisfier,
-    satisfies,
-    update,
-)
+from .core import (ConcurrentActivation, ConditionZero, DomainSignature, FALSE, IFormula,
+                   Outcome, Record, TRUE, eval_formula, outcomes_weight, progression,
+                   replace, satisfier, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
-_TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its moves)
+_TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its _Table)
 
 
 class FiniteWorld(Record):
@@ -140,31 +126,31 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     """All worlds of non-zero weight, with exact weights and traces.
 
     Branches over (a) the occurrence patterns of ``_narratives``, (b) the
-    initial choice, and (c) the compiled table's moves, one per next
-    fluent state, depth first, so each world is reached once: its weight
-    is carried down in integers and reduced once, and its traces are the
-    product of its outcome groups.  The returned weights sum to exactly 1.
+    initial choice, and (c) the successors of the table's nodes, one per
+    next fluent state, depth first, so each world is reached once: its
+    weight is carried down in integers and reduced once, and its traces are
+    the product of its outcome groups.  The weights sum to exactly 1.
     """
-    sig = dd.signature
-    moves = _compile(dd)
-    idle = dict.fromkeys(sig.actions, FALSE)
+    sig, table = dd.signature, _compile(dd)
+    last, nodes = sig.maxinst, table.nodes
     result = []
-    for acting, num, den in _narratives(idle, dd.pprops):
-        rows = [acting.get(i, idle) for i in sig.instants]
+    for acting, num, den in _narratives(table.bits, dd.pprops):
+        masks = [acting[i] for i in sig.instants]
         # a link is (previous link, states before it, instant fired,
-        # outcomes, fluents after): only instants where a rule fires add one
-        stack = [(0, num * ic.weight.numerator, den * ic.weight.denominator,
-                  (None, [], -1, (ic,), ic.effect)) for ic in reversed(dd.iprop.head)]
+        # outcomes, fluent id after): only instants where a rule fires add one
+        stack = [(0, num * ic.weight.numerator, den * ic.weight.denominator, (
+            None, [], -1, (ic,), table.fluent_id(ic.effect))) for ic in reversed(dd.iprop.head)]
         while stack:
             i, num, den, link = stack.pop()
-            fluents = dict(link[4])
-            held = [{**fluents, **rows[i]}]  # the states until a rule fires
-            while i < sig.maxinst and not (targets := moves(held[-1], i))[0][1]:
-                i += 1
-                held.append({**fluents, **rows[i]})
-            if i < sig.maxinst:
-                stack += [(i + 1, num * n, den * d, (link, held, i, outs, after))
-                          for after, outs, n, d, _ in reversed(targets)]
+            f, held = link[4], []  # the states until a rule fires
+            for i in range(i, last + 1):
+                node = nodes[f].get(masks[i]) or table.node(f, masks[i])
+                held.append(dict(node[0]))
+                if i < last and (targets := node[1] or table.step(f, node, i))[0][1]:
+                    break
+            if i < last:
+                stack += [(i + 1, num * n, den * table.scale, (link, held, i, outs, g))
+                          for g, outs, n, _ in reversed(targets)]
                 continue
             path = []  # a world: its links back to the initial choice
             while link is not None:
@@ -179,60 +165,96 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     return result
 
 
-def _narratives(idle: Mapping[str, str], pprops):
+def _narratives(bits: Mapping[str, int], pprops):
     """Each occurrence pattern of ``pprops`` with its narrative factor: the
-    action part of the state at each instant of an occurrence (``idle``, all
-    false, elsewhere), where exactly the occurring (action, instant) pairs
-    are true (the closed world assumption), and the product of P over them
-    and of 1-P over the rest, as an unreduced numerator, denominator.
-    Probability-1 occurrences are forced."""
-    for bits in itertools.product(*[(True,) if p.prob == 1 else (True, False) for p in pprops]):
-        rows, num, den = {}, 1, 1
-        for p, occurs in zip(pprops, bits):
+    mask (by ``bits``) of the actions occurring at each instant, exactly
+    the occurring (action, instant) pairs (the closed world assumption),
+    and the product of P over them and of 1-P over the rest, as unreduced
+    numerator and denominator.  Probability-1 occurrences are forced."""
+    for on in itertools.product(*[(True,) if p.prob == 1 else (True, False) for p in pprops]):
+        masks, num, den = defaultdict(int), 1, 1
+        for p, occurs in zip(pprops, on):
             n, d = p.prob.numerator, p.prob.denominator
             num, den = num * (n if occurs else d - n), den * d
-            if occurs:
-                rows[p.instant] = {**rows.get(p.instant, idle), p.action: TRUE}
-        yield rows, num, den
+            masks[p.instant] |= bits[p.action] if occurs else 0
+        yield masks, num, den
 
 
-def _compile(dd: DomainDescription):
-    """The one-step table of a domain, filled in as states are reached.
+def _compile(dd: DomainDescription) -> _Table:
+    """The node table of a domain, built once and kept while it lives."""
+    if (known := _TABLES.get(id(dd))) is None or known[0]() is not dd:
+        # from a copy, so dd is not kept alive; calls that miss at once share one
+        entry = weakref.ref(dd, lambda _, k=id(dd): _TABLES.pop(k, None)), _Table(replace(dd))
+        if (known := _TABLES.setdefault(id(dd), entry))[0]() is not dd:
+            known = _TABLES[id(dd)] = entry  # the entry of a dead domain
+    return known[1]
 
-    ``moves(state, instant)`` lists where a total state can go: one ``(next
-    fluent state as an items tuple, outcomes in head order, numerator and
-    denominator of their summed weight, _cut of the running total)`` per
-    distinct target of the activated rule, in order of first appearance, or
-    ``(same fluents, (), 1, 1, 1.0)`` when no rule fires.  Entries are kept
-    per state for the life of the domain, which the table does not keep
-    alive; a clash raises ConcurrentActivation at each reach, never stored.
-    """
-    if (known := _TABLES.get(id(dd))) and known[0]() is dd:
-        return known[1]
-    sig, rules = dd.signature, replace(dd)  # a copy: the table must not keep dd alive
-    symbols = sig.symbols
-    table: dict[tuple, tuple] = {}
 
-    def moves(state: Mapping[str, str], instant: int | None = None) -> tuple:
-        key = tuple(map(state.get, symbols))
-        if key in table:
-            return table[key]
-        c = activated_cprop(rules, state, instant)
-        fluents = sig.fluent_part(state)
-        found: dict[frozenset, list] = {}
-        for o in c.head if c else ():
-            after = tuple(update(fluents, o.effect).items())
-            found.setdefault(frozenset(after), [after]).append(o)
-        listed, total = [], 0
-        for after, *outs in found.values():
-            weight = sum((o.weight for o in outs[1:]), outs[0].weight)
-            total += weight
-            listed.append((after, tuple(outs), *weight.as_integer_ratio(), _cut(total)))
-        table[key] = tuple(listed) or ((tuple(fluents.items()), (), 1, 1, 1.0),)
-        return table[key]
+class _Table:
+    """A domain interned into nodes, filled in as they are reached.
 
-    _TABLES[id(dd)] = weakref.ref(dd, lambda _, k=id(dd): _TABLES.pop(k, None)), moves
-    return moves
+    Each reached fluent state gets an int id once: ``fluents[id]`` is its
+    dict, and ``quiet[id]`` says no rule fires in it when nothing occurs.
+    A node, a fluent id under a mask of occurring actions (``bits``), is
+    ``nodes[id][mask] = [total state, successors]``, the successors filled
+    at its first step: one ``(next id, outcomes in head order, summed
+    weight over scale, _cut of the running total)`` per target, in order
+    of first appearance, or ``((id, (), scale, 1.0),)`` when no rule
+    fires; a clash raises at each reach.  ``initial`` lists the initial
+    choices alike; ``patterns[i]`` the ``(mask, numerator, denominator)``
+    of each occurrence pattern at instant i.  Ids are assigned under a
+    lock and every other entry is published by one store, so calls may
+    share a table."""
+
+    def __init__(self, dd: DomainDescription):
+        sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
+        self.names, self.idle = sig.fluents, dict.fromkeys(sig.actions, FALSE)
+        self.bits = {a: 1 << k for k, a in enumerate(sig.actions)}
+        self.scale = math.lcm(*(o.weight.denominator for c in (*dd.cprops, dd.iprop)
+                                for o in c.head))
+        self.ids, self.fluents, self.quiet, self.nodes = {}, [], [], []
+        self.initial = self.targets({}, dd.iprop.head)
+        occurring = defaultdict(list)  # instant -> the occurrences at it
+        for p in dd.pprops:
+            occurring[p.instant].append(p)
+        self.patterns = {i: [(masks.get(i, 0), num, den) for masks, num, den
+                             in _narratives(self.bits, ps)] for i, ps in occurring.items()}
+
+    def fluent_id(self, fluents: Mapping[str, str]) -> int:
+        key = tuple([fluents[f] for f in self.names])
+        with self.lock:
+            if key not in self.ids:
+                self.fluents.append(dict(zip(self.names, key)))
+                idle = {**self.fluents[-1], **self.idle}
+                self.quiet.append(not any(eval_formula(idle, c.body) for c in self.rules.cprops))
+                self.nodes.append({0: [idle, None]})
+                self.ids[key] = len(self.nodes) - 1
+            return self.ids[key]
+
+    def node(self, fid: int, mask: int) -> list:
+        acting = dict.fromkeys([a for a, bit in self.bits.items() if mask & bit], TRUE)
+        return self.nodes[fid].setdefault(mask, [{**self.nodes[fid][0][0], **acting}, None])
+
+    def step(self, fid: int, node: list, instant: int | None) -> tuple:
+        c = activated_cprop(self.rules, node[0], instant)
+        node[1] = self.targets(self.fluents[fid], c.head) if c else ((fid, (), self.scale, 1.0),)
+        return node[1]
+
+    def targets(self, base: Mapping[str, str], outcomes) -> tuple:
+        """The outcomes applied to ``base``, grouped by target fluent id."""
+        found: dict[int, list] = {}
+        for o in outcomes:
+            found.setdefault(self.fluent_id({**base, **o.effect}), []).append(o)
+        weights = [sum(o.weight.numerator * (self.scale // o.weight.denominator) for o in outs)
+                   for outs in found.values()]
+        return tuple((g, tuple(outs), n, _cut(Fraction(t, self.scale))) for (g, outs), n, t
+                     in zip(found.items(), weights, itertools.accumulate(weights)))
+
+    def moves(self, state: Mapping[str, str]) -> tuple:
+        """The successors of the node of a total state dict."""
+        fid = self.fluent_id(state)
+        node = self.node(fid, sum(bit for a, bit in self.bits.items() if state[a] == TRUE))
+        return node[1] or self.step(fid, node, None)
 
 
 def _cut(x: Fraction) -> float:
@@ -298,47 +320,35 @@ def check_world(dd: DomainDescription, world: FiniteWorld) -> WorldReport:
 def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     """Probability of an instant-stamped formula, by one exact forward pass
     (the forward algorithm of hidden Markov models): a world's weight is a
-    product over instants, so the mass of the worlds alike so far is
-    carried as one sum per (fluent state, residual): what is left of phi
-    once its literals so far are put in, stepped only at instants phi reads.
-    It reaches the (total state, instant) pairs enumeration does, earliest
-    instant first, and returns the mass on residual True."""
-    sig = dd.signature
-    at, step = progression(phi, sig.maxinst)
-    moves = _compile(dd)
-    end = [((), (), 1, 1, 1.0)]  # the window ends: no move out of maxinst
-    idle = dict.fromkeys(sig.actions, FALSE)  # the action part when nothing occurs
-    mass, total = _collect([((tuple(sig.fluent_part(ic.effect).items()), phi),
-                             *ic.weight.as_integer_ratio()) for ic in dd.iprop.head], 1)
-    occurring = defaultdict(list)  # instant -> the occurrences at it
-    for p in dd.pprops:
-        occurring[p.instant].append(p)
-    for i in sig.instants:
-        if not (occurring[i] or i in at) and i < sig.maxinst and all(
-                not moves(dict(fluents, **idle), i)[0][1] for fluents, _ in mass):
-            continue  # no occurrence, literal or rule here: the mass stays as it is
-        patterns = [(rows.get(i, idle), num, den)
-                    for rows, num, den in _narratives(idle, occurring[i])]
-        steps = []
-        for (fluents, rest), m in mass.items():
-            for row, num, den in patterns:
-                state = dict(fluents, **row)
-                rest_i = step(rest, i, state) if i in at else rest
-                steps += [((after, rest_i), m * num * n, den * d) for after, _, n, d, _
-                          in (moves(state, i) if i < sig.maxinst else end)]
-        mass, total = _collect(steps, total)
-    return Fraction(sum(m for (_, rest), m in mass.items() if rest is True), total)
-
-
-def _collect(steps, total: int):
-    """Steps ``(key, numerator, denominator)`` summed by key: integer masses
-    over ``total`` times a common multiple of the steps' denominators, so
-    no step reduces a fraction; and that new denominator."""
-    scale = math.lcm(*(d for *_, d in steps))
+    product over instants, so the mass of the worlds alike so far is one
+    integer per (fluent id, residual: what is left of phi once its literals
+    so far are put in).  Between events (occurrences, phi's instants and
+    ``maxinst``) it steps only while a carried fluent state is not quiet,
+    reaching the (total state, instant) pairs enumeration does, earliest
+    first.  It returns the mass on residual True."""
+    last, table = dd.signature.maxinst, _compile(dd)
+    at, progress = progression(phi, last)
+    nodes, quiet, scale = table.nodes, table.quiet, table.scale
     mass: dict = defaultdict(int)
-    for key, n, d in steps:
-        mass[key] += n * (scale // d)
-    return mass, total * scale
+    for g, _, n, _ in table.initial:
+        mass[g, phi] += n
+    total, i = scale, 0
+    for event in sorted({*table.patterns, *at, last}):
+        while i <= event:
+            if i < event and all(quiet[f] for f, _ in mass):
+                i = event  # nothing occurs, is read or fires before it
+            patterns = table.patterns.get(i) or [(0, 1, 1)]  # no occurrence at i
+            reads, after = i in at, defaultdict(int)
+            for (f, rest), m in mass.items():
+                for mask, num, _ in patterns:
+                    node = nodes[f].get(mask) or table.node(f, mask)
+                    rest_i = progress(rest, i, node[0]) if reads else rest
+                    for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
+                            node[1] or table.step(f, node, i):
+                        after[g, rest_i] += m * num * n
+            total *= patterns[0][2] * (scale if i < last else 1)
+            mass, i = after, i + 1
+    return Fraction(sum(m for (_, rest), m in mass.items() if rest is True), total)
 
 
 def entails(dd: DomainDescription, h: HProposition) -> bool:
@@ -370,8 +380,9 @@ def tset(dd: DomainDescription, state: Mapping[str, str],
     With no activated rule the only transition is staying put, with the
     unit outcome; anything else is impossible.
     """
-    return [o for fluents, outs, *_ in _compile(dd)(state)
-            if dict(fluents) == target for o in outs or [Outcome({}, Fraction(1))]]
+    table = _compile(dd)
+    return [o for g, outs, *_ in table.moves(state)
+            if table.fluents[g] == target for o in outs or [Outcome({}, Fraction(1))]]
 
 
 def transition(dd: DomainDescription, state: Mapping[str, str],
@@ -389,24 +400,20 @@ def transition_graph(dd: DomainDescription) -> list[TransitionEdge]:
     Trivial self-loops (no action attempted) are omitted, as are nodes
     only ever reached by them.
     """
-    sig = dd.signature
-    moves = _compile(dd)
-    edges, nodes, idle = [], set(), []
+    sig, table = dd.signature, _compile(dd)
+    fluents = table.fluents
+    edges, reached, idle = [], set(), []
     for state in sig.total_states():
         acts = tuple(a for a in sig.actions if state[a] == TRUE)
-        targets = moves(state)
-        fluents = sig.fluent_part(state)
-        if not targets[0][1]:
-            if acts:
-                idle.append((fluents, acts))
-            continue
-        for tgt, _, n, d, _ in targets:
-            edges.append(TransitionEdge(fluents, acts, dict(tgt), Fraction(n, d)))
-            nodes |= {frozenset(fluents.items()), frozenset(tgt)}
-    for fluents, acts in idle:
-        if frozenset(fluents.items()) in nodes:
-            edges.append(TransitionEdge(fluents, acts, fluents, Fraction(1)))
-    return edges
+        f, targets = table.fluent_id(state), table.moves(state)
+        if targets[0][1]:
+            reached |= {f, *(g for g, *_ in targets)}
+            edges += [TransitionEdge(dict(fluents[f]), acts, dict(fluents[g]),
+                                     Fraction(n, table.scale)) for g, _, n, _ in targets]
+        elif acts:
+            idle.append((f, acts))
+    return edges + [TransitionEdge(dict(fluents[f]), acts, dict(fluents[f]), Fraction(1))
+                    for f, acts in idle if f in reached]
 
 
 # ---------------------------------------------------------------------------
@@ -459,34 +466,26 @@ def _sampler(dd: DomainDescription):
     ``rng.random()`` compared against the ``_cut`` of a probability or
     running total, which decides as the exact ``Fraction`` would (the last
     choice when none exceeds it); certain occurrences and single-target
-    steps draw nothing.  A draw walks nodes interned per sampler, one per
-    (fluent items, actions occurring): a state dict, and once stepped
-    from, its moves, each with the nodes it has led to by the actions
-    occurring next.  Draws share the dicts, so ``sample_world`` copies."""
-    sig = dd.signature
-    moves = _compile(dd)
-    idle = dict.fromkeys(sig.actions, FALSE)
-    initial = [(_cut(total), tuple(o.effect.items()), {}) for o, total in zip(
-        dd.iprop.head, itertools.accumulate(o.weight for o in dd.iprop.head))]
-    occurs = [(p.action, p.instant, p.prob == 1, _cut(p.prob)) for p in dd.pprops]
-    nodes: dict[tuple, list] = {}  # (fluent items, occurring actions) -> [state, steps]
+    steps draw nothing.  A draw walks the domain's nodes and hands out
+    their state dicts, so ``sample_world`` copies."""
+    last, table = dd.signature.maxinst, _compile(dd)
+    nodes = table.nodes
+    occurs = [(table.bits[p.action], p.instant, p.prob == 1, _cut(p.prob)) for p in dd.pprops]
 
     def draw(rng: random.Random) -> list[dict[str, str]]:
-        on = [()] * (sig.maxinst + 1)
-        for a, i, sure, cut in occurs:
+        on = [0] * (last + 1)
+        for bit, i, sure, cut in occurs:
             if sure or rng.random() < cut:
-                on[i] += (a,)
-        steps, r, states = initial, rng.random(), []
-        for i, acts in enumerate(on):
-            for cut, fluents, reached in steps:  # the first cut above r, else the last
+                on[i] |= bit
+        steps, r, states = table.initial, rng.random(), []
+        for i, mask in enumerate(on):
+            for g, _, _, cut in steps:  # the first cut above r, else the last
                 if r < cut:
                     break
-            if (node := reached.get(acts)) is None:
-                node = reached[acts] = nodes.setdefault((fluents, acts), [
-                    {**dict(fluents), **idle, **dict.fromkeys(acts, TRUE)}, None])
+            node = nodes[g].get(mask) or table.node(g, mask)
             states.append(node[0])
-            if i < sig.maxinst:
-                steps = node[1] = node[1] or [(t[4], t[0], {}) for t in moves(node[0], i)]
+            if i < last:
+                steps = node[1] or table.step(g, node, i)
                 r = rng.random() if len(steps) > 1 else 0.0
         return states
 

@@ -3,13 +3,18 @@
 import contextlib
 import functools
 import gc
+import hashlib
 import itertools
 import random
+import sys
+import threading
 import time
 import weakref
 from fractions import Fraction
 
 import pytest
+
+import pec.engine
 
 from pec import (
     And,
@@ -210,13 +215,13 @@ def walk_pool(coin, antibiotic, keys):
     return [coin, antibiotic, keys] + [random_domain(rng) for _ in range(300)]
 
 
-def clash_twins(count):
+def clash_twins(count, **bounds):
     """Random domains plus one rule whose body is a single literal, so
     some reachable states activate two rules."""
     rng = random.Random(31)
     twins = []
     while len(twins) < count:
-        dd = random_domain(rng)
+        dd = random_domain(rng, **bounds)
         sig = dd.signature
         if not sig.actions:
             continue
@@ -407,6 +412,22 @@ class TestGroupedWalk:
         elapsed = time.process_time() - start
         assert value == Fraction(1, 2)
         assert elapsed < 0.5, f"marginal took {elapsed:.2f} s"
+
+    def test_marginal_jumps_between_events(self):
+        # the one-occurrence text of test_long_window_costs_linear_time: only
+        # instants 0, 1 and 12000 hold an occurrence or a literal, and both
+        # fluent states are quiet, so the pass jumps from event to event
+        # (0.1-0.3 ms of CPU on a 2-core x86-64 VM, Python 3.11, where
+        # stepping every quiet instant took 38-68 ms)
+        dd = parse_domain(
+            "maxinst 12000\nfluent F takes-values {a, b}\naction A\n"
+            "initially-one-of {({F=a}, 1)}\n"
+            "A causes-one-of {({F=b}, 1/2)}\nA performed-at 1\n")
+        start = time.process_time()
+        value = marginal(dd, And(ILit("F", "a", 0), ILit("F", "b", 12000)))
+        elapsed = time.process_time() - start
+        assert value == Fraction(1, 2)
+        assert elapsed < 0.01, f"marginal took {elapsed * 1000:.1f} ms"
 
     def test_transitions_sum_outcomes_by_target(self, walk_pool):
         # keys (index 2) has clashing states, so its graph raises
@@ -826,6 +847,60 @@ class TestStepTable:
         assert ref() is None
         assert key not in _TABLES
 
+    def test_warm_table_activates_nothing(self, monkeypatch):
+        dd = load_domain("antibiotic.pec")
+        phi = parse_query("[Bacteria=Absent]@4 | [Rash=Present]@2", dd.signature)
+        first = marginal(dd, phi), sample_frequency(dd, phi, 200, 4)
+        calls = []
+        counted = pec.engine.activated_cprop
+        monkeypatch.setattr(pec.engine, "activated_cprop",
+                            lambda *args: calls.append(args) or counted(*args))
+        assert (marginal(dd, phi), sample_frequency(dd, phi, 200, 4)) == first
+        assert calls == []
+        marginal(replace(dd), phi)  # an equal copy starts cold, and is counted
+        assert calls
+
+    def test_concurrent_calls_on_a_cold_domain(self):
+        # four threads fill one cold table at once, the interpreter switching
+        # between them as often as it can, and every result must equal the
+        # serial result on an equal cold copy.  A counter reaches 34 fluent
+        # states, so ids are assigned while other threads read them; with
+        # the id lock removed, most rounds part from serial.
+        k = 16
+        counts = ", ".join(f"n{j}" for j in range(k + 1))
+        text = (f"maxinst {k}\nfluent N takes-values {{{counts}}}\n"
+                "fluent S takes-values {up, down}\naction Tick\n"
+                "initially-one-of {({N=n0, S=up}, 1)}\n"
+                + "".join(f"Tick & N=n{j} causes-one-of {{({{N=n{j + 1}, S=up}}, 1/2), "
+                          f"({{S=down}}, 1/2)}}\n" for j in range(k))
+                + "".join(f"Tick performed-at {i} with-prob 3/4\n" for i in range(k)))
+        serial = parse_domain(text)
+        queries = [parse_query(q, serial.signature) for q in (
+            f"[N=n8]@{k}", "[S=down]@5 -> [N=n3]@9", "[Tick]@4 & [N=n6]@12")]
+        calls = [functools.partial(marginal, phi=phi) for phi in queries] + [
+            functools.partial(sample_frequency, phi=phi, count=300, seed=seed)
+            for seed, phi in enumerate(queries)]
+        expected = [call(serial) for call in calls]
+        interval = sys.getswitchinterval()
+        for _ in range(4):
+            dd, results, barrier = parse_domain(text), [None] * 4, threading.Barrier(4, timeout=60)
+
+            def run(t):
+                barrier.wait()
+                results[t] = [call(dd) for call in calls[t:] + calls[:t]]
+
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected[t:] + expected[:t] for t in range(4)]
+
     def test_clashes_raise_alike_on_a_warm_table(self):
         raised = 0
         for dd in clash_twins(200):
@@ -839,3 +914,40 @@ class TestStepTable:
                 assert outcome(lambda: call(dd)) == expected
             raised += isinstance(first[1], tuple)
         assert raised > 20
+
+
+# The digests below were computed with the engine whose forward pass built
+# a total-state dict per key and keyed its step table by those dicts, before
+# the pass, the enumerator and the sampler walked interned node ids.  They
+# pin every value, world, weight and trace, every clash (message, instant
+# and state) and every seeded count, so any change to what the interned walk
+# computes, or to the random stream, moves them.
+PARITY_DIGEST = "842cfd75f059318e2c079e57f8278f0d93f88a7bdfca7d8dfd4ba489c878a1af"
+WORLDS_DIGEST = "9aa7d60a6eb1ce79ea789d21aed8edb9654028c5e426d11fa40cc2571739be15"
+
+
+def test_outcomes_match_the_dict_keyed_pass(walk_pool):
+    rng = random.Random(21)
+    long = {"max_maxinst": 30, "max_pprops": 5}
+    long_windows = [random_domain(rng, **long) for _ in range(40)] + clash_twins(40, **long)
+    lines = []
+    for dd in walk_pool + clash_twins(200) + long_windows:
+        sig = dd.signature
+        for _ in range(3):
+            phi = random_iformula(rng, sig)
+            lines.append(outcome(lambda: marginal(dd, phi)))
+        phi, seed = random_iformula(rng, sig), rng.randrange(2**31)
+        lines.append(outcome(lambda: sample_frequency(dd, phi, 40, seed)))
+    digest = hashlib.sha256(repr(lines).encode()).hexdigest()
+    assert digest == PARITY_DIGEST
+
+
+def test_worlds_match_the_dict_keyed_walk(walk_pool):
+    rng = random.Random(22)
+    long = {"max_maxinst": 8, "max_pprops": 4}
+    pool = walk_pool + clash_twins(200) + [random_domain(rng, **long) for _ in range(30)]
+    lines = [outcome(lambda: [(w.world.key(), w.weight, [canonical_trace(t) for t in w.traces])
+                              for w in enumerate_worlds(dd)])
+             for dd in pool + clash_twins(30, **long)]
+    digest = hashlib.sha256(repr(lines).encode()).hexdigest()
+    assert digest == WORLDS_DIGEST
