@@ -64,7 +64,8 @@ def _digits(args) -> int:
 
 
 def _load(path: str):
-    return parse_domain(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig: a byte-order mark some editors put first is not a character
+    return parse_domain(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def cmd_check(args) -> int:

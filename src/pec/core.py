@@ -403,6 +403,23 @@ def open_branches(phi: Formula):
     return _branches((phi, True, None), False)
 
 
+def conjunct_atoms(phi: Formula) -> frozenset:
+    """The (subject, value) atoms of the literals on every branch of
+    ``open_branches(phi)``: those reached through conjunctive nodes only."""
+    atoms, todo = set(), [(phi, True)]
+    while todo:
+        node, sign = todo.pop()
+        kind = type(node)
+        if kind is Not:
+            todo.append((node.arg, not sign))
+        elif kind in (And, Or, Implies):
+            if sign == (kind is And):
+                todo += ((node.left, sign != (kind is Implies)), (node.right, sign))
+        else:
+            atoms.add((node.subject, node.value))
+    return frozenset(atoms)
+
+
 def herbrand_entails(theta: Formula, theta_prime: Formula) -> bool:
     """Propositional entailment with literals taken as atoms.
 

@@ -22,18 +22,30 @@ sum to ``s < 1`` and which has no explicit empty effect gets an implicit
 Queries are instant-stamped formulas such as
 ``[Coin=Heads]@2 & ![Coin=Tails]@3``.
 
-Text becomes a domain in four steps: ``_lex`` cuts it into tokens in one
-regex scan; the parser files each statement, with its source location,
-under its kind (``fluent`` as a ``VProp``, rules as raw rules);
-``_validate_statements`` reports every violated condition at its
-location; ``parse_domain`` builds the location-free ``DomainDescription``.
-Statements may come in any order; within a kind, source order is kept.
+Text becomes a domain in four steps.  One ``findall`` cuts it into two
+flat lists, token texts and kinds, with whitespace and comments absorbed
+before each token; a token is its index, and its (line, col) is computed
+only when an error or an ``Issue`` needs one, from offsets scanned once,
+so a valid text computes no position.  The parser files each statement,
+with its token index, under its kind (``fluent`` as a ``VProp``, rules
+as raw rules); ``_validate_statements`` reports every violated condition
+at its location; ``parse_domain`` builds the location-free
+``DomainDescription``.  Statements may come in any order; within a kind,
+source order is kept.
+
+Condition (i) asks whether one rule body entails another.  Literals are
+independent Herbrand atoms, so a satisfiable body cannot entail a formula
+one of whose conjuncts (a literal on every branch of its tableau) has an
+atom the body never mentions: flipping that atom in a model of the body
+falsifies the conjunct and keeps the body true.  Only the pairs that this
+test does not refute, and unsatisfiable bodies, go to ``herbrand_entails``;
+so does "the body entails an action".
 """
 
 from __future__ import annotations
 
+import bisect
 import re
-from collections import namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -53,8 +65,10 @@ from .core import (
     TRUE,
     FALSE,
     at_instant,
+    conjunct_atoms,
     fold,
     herbrand_entails,
+    open_branches,
 )
 
 # ---------------------------------------------------------------------------
@@ -143,41 +157,17 @@ class DomainDescription(Record):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>(?:[ \t\r\n]+|%[^\n]*)+)
-    | (?:takes-values|initially-one-of|causes-one-of|performed-at|with-prob)
-      (?![A-Za-z0-9_-])
-    | (?P<id>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<dec>[0-9]+\.[0-9]+)
-    | (?P<nat>[0-9]+)
-    | ->|[{}(),=!&|@\[\]/]
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-# kind: "id", "nat", "dec", "eof", or the text itself of a keyword or punctuation
-# mark (matched by an unnamed alternative, so its match has no lastgroup)
-_Token = namedtuple("_Token", "kind text line col")
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0  # no token holds a newline; only skipped text does
-    for m in _TOKEN_RE.finditer(text):
-        group, chunk, col = m.lastgroup, m.group(), m.start() - line_start + 1
-        if group == "skip":
-            if (newlines := chunk.count("\n")):
-                line += newlines
-                line_start = m.start() + chunk.rfind("\n") + 1
-        elif group == "bad":
-            raise PecSyntaxError(f"unexpected character {chunk!r}", line, col)
-        else:
-            tokens.append(_Token(group or chunk, chunk, line, col))
-    # The parser looks at most two tokens past the current one and never
-    # advances past eof, so three eof sentinels make every lookahead in range.
-    return tokens + [_Token("eof", "", line, len(text) - line_start + 1)] * 3
+# Whitespace and comments are absorbed before each token, and a token is a
+# keyword, a name, a number, a punctuation mark, any other single character
+# or the empty end of input: so the matches tile the text, never backtrack
+# into skipped text, and the last one is empty.
+_TOKEN_RE = re.compile(r"""(?:[ \t\r\n]+|%[^\n]*)*
+    ( (?:takes-values|initially-one-of|causes-one-of|performed-at|with-prob)(?![A-Za-z0-9_-])
+    | [A-Za-z][A-Za-z0-9_]* | [0-9]+(?:\.[0-9]+)? | -> | [{}(),=!&|@\[\]/] | . | \Z )""",
+    re.VERBOSE | re.DOTALL)
+# kind: "id", "nat", "dec", "bad", "eof", or the text of a keyword or punctuation mark
+_KINDS = {text: text for text in "takes-values initially-one-of causes-one-of "
+          "performed-at with-prob -> { } ( ) , = ! & | @ [ ] /".split()} | {"": "eof"}
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +175,9 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _RawOutcome(Record):
-    literals: list[tuple[str, str, tuple[int, int]]]  # subject, value, loc
+    literals: list[tuple[str, str, int]]  # subject, value, token index
     weight: Fraction
-    loc: tuple[int, int]
+    loc: int
 
     def effect(self) -> dict[str, str]:
         return {s: v for s, v, _ in self.literals}
@@ -197,82 +187,96 @@ class _RawRule(Record):
     """A causal rule, or the initial distribution when ``body`` is None."""
 
     outcomes: list[_RawOutcome]
-    loc: tuple[int, int]
+    loc: int
     body: Formula | None = None
-    body_lits: Sequence[tuple[str, str, tuple[int, int]]] = ()
+    body_lits: Sequence[tuple[str, str, int]] = ()
 
     def head(self) -> tuple[Outcome, ...]:
         return tuple(Outcome(o.effect(), o.weight) for o in self.outcomes)
 
 
 class _Statements:
-    """A domain text's statements filed by kind, each kind in source order:
-    rules as ``_RawRule``s, the rest as (statement, loc) pairs."""
+    """A domain text's statements filed by kind, each kind in source order: rules
+    as ``_RawRule``s, the rest as (statement, token index) pairs, and ``where``."""
 
-    def __init__(self):
+    def __init__(self, where):
+        self.where = where
         self.vprops, self.actions, self.maxinsts = [], [], []
         self.iprops, self.cprops, self.pprops = [], [], []
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.pos = 0
+        # two more eofs: the parser looks at most two tokens past the current one
+        self.texts = texts = _TOKEN_RE.findall(text) + ["", ""]
+        kind = dict(_KINDS)
+        for t in set(texts).difference(kind):  # names and numbers are ASCII
+            c = t[0] if t.isascii() else "?"
+            kind[t] = "id" if c.isalpha() else \
+                ("dec" if "." in t else "nat") if c.isdigit() else "bad"
+        self.kinds = list(map(kind.__getitem__, texts))
+        self.text, self.starts, self.pos, self.fractions = text, None, 0, {}
+        if "bad" in kind.values():
+            k = self.kinds.index("bad")
+            self.error(f"unexpected character {texts[k]!r}", k)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.pos + ahead]
+    def where(self, k: int) -> tuple[int, int]:
+        """(line, col) of token ``k``, from offsets scanned on first use."""
+        if self.starts is None:
+            self.starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+            self.breaks = [m.start() for m in re.finditer("\n", self.text)]
+        at = self.starts[min(k, len(self.starts) - 1)]
+        line = bisect.bisect(self.breaks, at)
+        return line + 1, at - (self.breaks[line - 1] if line else -1)
 
-    def advance(self) -> _Token:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """The text of the current token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            found = repr(self.texts[pos]) if self.texts[pos] else "end of input"
+            self.error(f"expected {what or repr(kind)}, found {found}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.text else "end of input"
-            self.error(f"expected {what or repr(kind)}, found {found}", tok)
-        return self.advance()
-
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise PecSyntaxError(message, tok.line, tok.col)
+    def error(self, message: str, k: int | None = None):
+        raise PecSyntaxError(message, *self.where(self.pos if k is None else k))
 
     # -- statements --------------------------------------------------------
 
     def parse_statements(self) -> _Statements:
-        found = _Statements()
-        while (tok := self.peek()).kind != "eof":
-            loc = (tok.line, tok.col)
-            if tok.text == "fluent":
-                self.advance()
-                name = self.expect("id", "a fluent name").text
+        found, kinds, texts = _Statements(self.where), self.kinds, self.texts
+        while (kind := kinds[k := self.pos]) != "eof":
+            text = texts[k]
+            if text == "fluent":
+                self.pos += 1
+                name = self.expect("id", "a fluent name")
                 self.expect("takes-values")
-                values = self._braced(lambda: self.expect("id", "a value name").text)
-                found.vprops.append((VProp(name, tuple(values)), loc))
-            elif tok.text == "action":
-                self.advance()
-                found.actions.append((self.expect("id", "an action name").text, loc))
-            elif tok.text == "maxinst":
-                self.advance()
-                number = int(self.expect("nat", "an instant bound").text)
-                found.maxinsts.append((number, loc))
-            elif tok.kind == "initially-one-of":
-                self.advance()
-                found.iprops.append(_RawRule(self._braced(self._outcome), loc))
-            elif tok.kind == "id" and self.peek(1).kind == "performed-at":
+                values = self._braced(lambda: self.expect("id", "a value name"))
+                found.vprops.append((VProp(name, tuple(values)), k))
+            elif text == "action":
+                self.pos += 1
+                found.actions.append((self.expect("id", "an action name"), k))
+            elif text == "maxinst":
+                self.pos += 1
+                number = int(self.expect("nat", "an instant bound"))
+                found.maxinsts.append((number, k))
+            elif kind == "initially-one-of":
+                self.pos += 1
+                found.iprops.append(_RawRule(self._braced(self._outcome), k))
+            elif kind == "id" and kinds[k + 1] == "performed-at":
                 self.pos += 2  # the action name and performed-at
-                instant = int(self.expect("nat", "an instant").text)
+                instant = int(self.expect("nat", "an instant"))
                 prob = Fraction(1)
-                if self.peek().kind == "with-prob":
-                    self.advance()
+                if kinds[self.pos] == "with-prob":
+                    self.pos += 1
                     prob = self._prob()
-                found.pprops.append((PProp(tok.text, instant, prob), loc))
+                found.pprops.append((PProp(text, instant, prob), k))
             else:
-                found.cprops.append(self._cprop(loc))
+                found.cprops.append(self._cprop(k))
         return found
 
-    def _cprop(self, loc: tuple[int, int]) -> _RawRule:
-        lits: list[tuple[str, str, tuple[int, int]]] = []
+    def _cprop(self, loc: int) -> _RawRule:
+        lits: list[tuple[str, str, int]] = []
         body = self._formula(lambda: self._body_atom(lits), _BODY_OPERAND)
         self.expect("causes-one-of")
         outcomes = self._braced(self._outcome)
@@ -287,50 +291,50 @@ class _Parser:
         """``{item, item, ...}``, or ``{}`` when ``empty_ok``."""
         self.expect("{")
         items = []
-        if not (empty_ok and self.peek().kind == "}"):
+        if not (empty_ok and self.kinds[self.pos] == "}"):
             items.append(item())
-            while self.peek().kind == ",":
-                self.advance()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 items.append(item())
         self.expect("}")
         return items
 
     def _outcome(self) -> _RawOutcome:
-        start = self.expect("(")
+        start = self.pos
+        self.expect("(")
         literals = self._braced(self._literal, empty_ok=True)
         self.expect(",")
         weight = self._prob()
         self.expect(")")
-        return _RawOutcome(literals, weight, (start.line, start.col))
+        return _RawOutcome(literals, weight, start)
 
-    def _literal(self) -> tuple[str, str, tuple[int, int]]:
+    def _literal(self) -> tuple[str, str, int]:
         """``X=V``, or ``X`` / ``!X`` for ``X=true`` / ``X=false``."""
-        if self.peek().kind == "!":
-            self.advance()
-            name = self.expect("id", "a fluent name")
-            return name.text, FALSE, (name.line, name.col)
+        if self.kinds[self.pos] == "!":
+            self.pos += 1
+            return self.expect("id", "a fluent name"), FALSE, self.pos - 1
         name = self.expect("id", "a fluent name")
-        if self.peek().kind == "=":
-            self.advance()
-            value = self.expect("id", "a value name")
-            return name.text, value.text, (name.line, name.col)
-        return name.text, TRUE, (name.line, name.col)
+        if self.kinds[self.pos] == "=":
+            self.pos += 1
+            return name, self.expect("id", "a value name"), self.pos - 3
+        return name, TRUE, self.pos - 1
 
     def _prob(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind == "dec":
-            self.advance()
-            return Fraction(tok.text)
-        if tok.kind == "nat":
-            self.advance()
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.expect("nat", "a denominator")
-                if int(den.text) == 0:
-                    self.error("zero denominator", den)
-                return Fraction(int(tok.text), int(den.text))
-            return Fraction(int(tok.text))
-        self.error("expected a probability")
+        """A probability, made a ``Fraction`` once per distinct text."""
+        pos = self.pos
+        if self.kinds[pos] not in ("dec", "nat"):
+            self.error("expected a probability")
+        self.pos += 1
+        key = self.texts[pos]
+        if self.kinds[pos] == "nat" and self.kinds[pos + 1] == "/":
+            self.pos += 1
+            den = self.expect("nat", "a denominator")
+            if int(den) == 0:
+                self.error("zero denominator", pos + 2)
+            key += "/" + den
+        if (value := self.fractions.get(key)) is None:
+            value = self.fractions[key] = Fraction(key)
+        return value
 
     # -- formulas -----------------------------------------------------------
     # Precedence, loosest first: ->  |  &  !  atom.  -> is right-associative.
@@ -345,16 +349,18 @@ class _Parser:
         """
         operands: list = []
         pending: list[str] = []  # "(", "!" and binary operators
+        kinds = self.kinds
         while True:
             leaf = atom()
             if leaf is None:
-                if self.peek().kind not in ("!", "("):
+                if kinds[self.pos] not in ("!", "("):
                     self.error(f"expected {expected}")
-                pending.append(self.advance().kind)
+                pending.append(kinds[self.pos])
+                self.pos += 1
                 continue
             operands.append(leaf)
             while True:
-                kind = self.peek().kind
+                kind = kinds[self.pos]
                 # A binary operator completes the pending ones that bind at
                 # least as tightly (an earlier '->' stays: it is
                 # right-associative); any other token completes them all,
@@ -365,7 +371,8 @@ class _Parser:
                     operands.append(Not(right) if op == "!"
                                     else _OPS[op][1](operands.pop(), right))
                 if prec:
-                    pending.append(self.advance().kind)
+                    pending.append(kind)
+                    self.pos += 1
                     break
                 if not pending:
                     return operands[0]
@@ -373,22 +380,21 @@ class _Parser:
                 pending.pop()
 
     def _body_atom(self, lits) -> Formula | None:
-        tok = self.peek()
-        if tok.kind == "id" or (tok.kind == "!" and self.peek(1).kind == "id"
-                                and self.peek(2).kind != "="):
-            subject, value, loc = self._literal()
-            lits.append((subject, value, loc))
-            return Lit(subject, value)
+        kinds, pos = self.kinds, self.pos
+        if kinds[pos] == "id" or (kinds[pos] == "!" and kinds[pos + 1] == "id"
+                                  and kinds[pos + 2] != "="):
+            lits.append(lit := self._literal())
+            return Lit(lit[0], lit[1])
         return None
 
     def _stamped_atom(self, lits) -> IFormula | None:
-        if self.peek().kind == "[":
-            self.advance()
-            inner_lits: list[tuple[str, str, tuple[int, int]]] = []
+        if self.kinds[self.pos] == "[":
+            self.pos += 1
+            inner_lits: list[tuple[str, str, int]] = []
             theta = self._formula(lambda: self._body_atom(inner_lits), _BODY_OPERAND)
             self.expect("]")
             self.expect("@")
-            instant = int(self.expect("nat", "an instant").text)
+            instant = int(self.expect("nat", "an instant"))
             lits.extend((*lit, instant) for lit in inner_lits)
             return at_instant(theta, instant)
         return None
@@ -422,108 +428,102 @@ def _literal_problem(subject: str, value: str, vals: Mapping[str, Container[str]
 def _validate_statements(found: _Statements) -> ValidationReport:
     issues: list[Issue] = []
 
+    def add(message: str, k: int | None = None, condition: str | None = None):
+        issues.append(Issue(message, *(found.where(k) if k is not None else (1, 1)),
+                            condition=condition))
+
     maxinst = None
     if not found.maxinsts:
-        issues.append(Issue("missing maxinst statement", 1, 1))
+        add("missing maxinst statement")
     else:
-        maxinst, loc = found.maxinsts[0]
+        maxinst, k = found.maxinsts[0]
         if maxinst < 1:
-            issues.append(Issue("maxinst must be at least 1", *loc))
-    for _, loc in found.maxinsts[1:]:
-        issues.append(Issue("duplicate maxinst statement", *loc))
+            add("maxinst must be at least 1", k)
+    for _, k in found.maxinsts[1:]:
+        add("duplicate maxinst statement", k)
 
     sig_vals: dict[str, list[str]] = {}
-    for v, loc in found.vprops:
+    for v, k in found.vprops:
         if v.fluent in sig_vals:
-            issues.append(Issue(
-                f"duplicate value declaration for fluent {v.fluent}",
-                *loc, condition="(iii)"))
+            add(f"duplicate value declaration for fluent {v.fluent}", k, "(iii)")
             continue
         for x in sorted({x for x in v.values if v.values.count(x) > 1}):
-            issues.append(Issue(
-                f"duplicate value {x} in declaration of {v.fluent}", *loc))
+            add(f"duplicate value {x} in declaration of {v.fluent}", k)
         sig_vals[v.fluent] = list(dict.fromkeys(v.values))
     actions: set[str] = set()
-    for name, loc in found.actions:
+    for name, k in found.actions:
         if name in actions:
-            issues.append(Issue(f"duplicate action declaration {name}", *loc))
+            add(f"duplicate action declaration {name}", k)
         actions.add(name)
     for name in sorted(set(sig_vals) & actions):
-        issues.append(Issue(f"{name} is declared as both fluent and action", 1, 1))
+        add(f"{name} is declared as both fluent and action")
     if not sig_vals:
-        issues.append(Issue("at least one fluent must be declared", 1, 1))
+        add("at least one fluent must be declared")
 
     def check_literals(lits, effect=False):
-        for subject, value, (line, col) in lits:
+        for subject, value, k in lits:
             problem = _literal_problem(subject, value, sig_vals, actions, effect)
             if problem:
-                issues.append(Issue(problem, line, col))
+                add(problem, k)
 
     def check_head(rule, what):
         for o in rule.outcomes:
             check_literals(o.literals, effect=True)
             named = [subject for subject, _, _ in o.literals]
-            for k, (subject, _, loc) in enumerate(o.literals):
-                if subject in named[:k] and subject not in actions:
-                    issues.append(Issue(
-                        f"fluent {subject} appears twice in one effect", *loc))
+            for n, (subject, _, k) in enumerate(o.literals):
+                if subject in named[:n] and subject not in actions:
+                    add(f"fluent {subject} appears twice in one effect", k)
             if not 0 < o.weight <= 1:
-                issues.append(Issue(
-                    f"outcome weight {o.weight} outside (0,1]", *o.loc))
+                add(f"outcome weight {o.weight} outside (0,1]", o.loc)
         total = sum((o.weight for o in rule.outcomes), Fraction(0))
         if total != 1:
-            issues.append(Issue(
-                f"{what} weights sum to {total}, expected 1", *rule.loc))
+            add(f"{what} weights sum to {total}, expected 1", rule.loc)
         effects = [o.effect() for o in rule.outcomes]
         for i, eff in enumerate(effects):
             if eff in effects[:i]:
-                issues.append(Issue(
-                    f"duplicate effect in {what}", *rule.outcomes[i].loc))
+                add(f"duplicate effect in {what}", rule.outcomes[i].loc)
 
     if not found.iprops:
-        issues.append(Issue("no i-proposition", 1, 1, condition="(ii)"))
+        add("no i-proposition", condition="(ii)")
     for extra in found.iprops[1:]:
-        issues.append(Issue("more than one i-proposition", *extra.loc,
-                            condition="(ii)"))
+        add("more than one i-proposition", extra.loc, "(ii)")
     for rule in found.iprops:
         check_head(rule, "initially-one-of")
         for o in rule.outcomes:
             missing = sorted(set(sig_vals) - set(o.effect()))
             if missing:
-                issues.append(Issue(
-                    "initial outcome must assign every fluent "
-                    f"(missing {', '.join(missing)})", *o.loc))
+                add("initial outcome must assign every fluent "
+                    f"(missing {', '.join(missing)})", o.loc)
 
-    for rule in found.cprops:
+    # the tableau decides what the conjunct test does not refute (module docstring)
+    mentions = [frozenset((s, v) for s, v, _ in r.body_lits) for r in found.cprops]
+    needs = [conjunct_atoms(r.body) for r in found.cprops]
+    for i, rule in enumerate(found.cprops):
         check_literals(rule.body_lits)
         check_head(rule, "causes-one-of")
-        if not any(herbrand_entails(rule.body, Lit(a, TRUE)) for a in actions):
-            issues.append(Issue(
-                "causal rule body does not entail any action", *rule.loc))
-    for i, rule in enumerate(found.cprops):
+        # None for an unsatisfiable body, which entails everything
+        known = None if next(open_branches(rule.body), None) is None else mentions[i]
+        if not any((known is None or (a, TRUE) in known)
+                   and herbrand_entails(rule.body, Lit(a, TRUE)) for a in actions):
+            add("causal rule body does not entail any action", rule.loc)
         for j, other in enumerate(found.cprops):
-            if i != j and herbrand_entails(rule.body, other.body):
-                issues.append(Issue(
-                    f"causal rule body entails the body of the rule at "
-                    f"line {other.loc[0]}", *rule.loc, condition="(i)"))
+            if i != j and (known is None or needs[j] <= known) \
+                    and herbrand_entails(rule.body, other.body):
+                add("causal rule body entails the body of the rule at "
+                    f"line {found.where(other.loc)[0]}", rule.loc, "(i)")
 
     seen_occurrences: set[tuple[str, int]] = set()
-    for p, loc in found.pprops:
+    for p, k in found.pprops:
         if p.action in sig_vals:
-            issues.append(Issue(f"{p.action} is a fluent, not an action", *loc))
+            add(f"{p.action} is a fluent, not an action", k)
         elif p.action not in actions:
-            issues.append(Issue(f"unknown action {p.action}", *loc))
+            add(f"unknown action {p.action}", k)
         if maxinst is not None and p.instant >= maxinst:
-            issues.append(Issue(
-                f"occurrence instant {p.instant} must be below maxinst "
-                f"{maxinst}", *loc))
+            add(f"occurrence instant {p.instant} must be below maxinst {maxinst}", k)
         if not 0 < p.prob <= 1:
-            issues.append(Issue(
-                f"occurrence probability {p.prob} outside (0,1]", *loc))
+            add(f"occurrence probability {p.prob} outside (0,1]", k)
         if (p.action, p.instant) in seen_occurrences:
-            issues.append(Issue(
-                f"duplicate occurrence of {p.action} at instant {p.instant}",
-                *loc, condition="(iv)"))
+            add(f"duplicate occurrence of {p.action} at instant {p.instant}", k, "(iv)")
         seen_occurrences.add((p.action, p.instant))
 
     issues.sort(key=lambda i: (i.line, i.col, i.message))
@@ -564,20 +564,16 @@ def validate(text: str) -> ValidationReport:
 def parse_query(text: str, signature: DomainSignature) -> IFormula:
     """Parse an instant-stamped query formula against a signature."""
     parser = _Parser(text)
-    lits: list[tuple[str, str, tuple[int, int], int]] = []
+    lits: list[tuple[str, str, int, int]] = []
     phi = parser._formula(lambda: parser._stamped_atom(lits), "'[' or '('")
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        parser.error(f"unexpected input after query: {trailing.text!r}", trailing)
-    for subject, value, (line, col), instant in lits:
-        problem = _literal_problem(subject, value, signature.vals,
-                                   signature.actions)
+    if parser.kinds[parser.pos] != "eof":
+        parser.error(f"unexpected input after query: {parser.texts[parser.pos]!r}")
+    for subject, value, k, instant in lits:
+        problem = _literal_problem(subject, value, signature.vals, signature.actions)
+        if not problem and instant > signature.maxinst:
+            problem = f"instant {instant} beyond maxinst {signature.maxinst}"
         if problem:
-            raise PecSyntaxError(problem, line, col)
-        if instant > signature.maxinst:
-            raise PecSyntaxError(
-                f"instant {instant} beyond maxinst {signature.maxinst}",
-                line, col)
+            parser.error(problem, k)
     return phi
 
 

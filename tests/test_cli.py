@@ -111,6 +111,17 @@ class TestCheck:
         assert code == 1
         assert err.startswith("pec check: error: ") and str(bad) in err
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        src = tmp_path / "bom.pec"
+        src.write_bytes(b"\xef\xbb\xbf" + (EXAMPLES / "coin.pec").read_bytes())
+        code, out, err = run(capsys, "check", str(src))
+        assert (code, err) == (0, "")
+        assert out.replace(str(src), COIN) == run(capsys, "check", COIN)[1]
+        src.write_bytes(b"\xef\xbb\xbfmaxinst x\n")  # columns count from after it
+        code, _, err = run(capsys, "check", str(src))
+        assert (code, err) == (1, "pec check: error: line 1, col 9: expected an "
+                                  "instant bound, found 'x'\n")
+
     def test_python_m_pec(self):
         child = run_module("check", str(EXAMPLES / "coin.pec"),
                            capture_output=True)

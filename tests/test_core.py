@@ -244,6 +244,24 @@ class TestHerbrandEntails:
         assert not herbrand_entails(body, Lit("Stop", TRUE))
         assert time.perf_counter() - start < 0.1
 
+    def test_conjunct_atoms_are_on_every_branch(self):
+        # and each is a conjunct: the formula entails its literal, signed
+        # as the branches sign it
+        rng = random.Random(22)
+        sig = DomainSignature(("F", "G"), ("A",),
+                              {"F": ("a", "b"), "G": ("a", "b")}, 1)
+        assert core.conjunct_atoms(Not(Implies(Lit("A", TRUE), Or(
+            Lit("F", "a"), Lit("G", "b"))))) == {("A", TRUE), ("F", "a"), ("G", "b")}
+        for _ in range(500):
+            phi = random_formula(rng, sig, rng.randint(1, 4))
+            atoms = core.conjunct_atoms(phi)
+            for branch in core.open_branches(phi):
+                signs = {(lit.subject, lit.value): sign for lit, sign in branch.items()}
+                assert atoms <= signs.keys()
+                for atom in atoms:
+                    lit = Lit(*atom)
+                    assert herbrand_entails(phi, lit if signs[atom] else Not(lit))
+
     def test_tableau_builds_no_formula_node(self):
         # the tableau reads each node with a sign, so deciding entailment
         # or listing a DNF interns no node (no NNF copy, no Not(literal))

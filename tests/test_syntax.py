@@ -1,22 +1,29 @@
 """Grammar, validation diagnostics, and round-trip rendering."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from pec import (
     And,
+    DomainDescription,
     DomainValidationError,
     FALSE,
     ILit,
     Implies,
     Lit,
+    Not,
+    Or,
     PecError,
     PecSyntaxError,
     TRUE,
+    ValidationReport,
     emit,
     format_formula,
+    herbrand_entails,
     marginal,
     parse_domain,
     parse_query,
@@ -24,7 +31,8 @@ from pec import (
     sample_world,
     validate,
 )
-from helpers import random_domain
+from pec.core import replace
+from helpers import random_domain, random_formula
 
 
 class TestParseDomain:
@@ -355,6 +363,160 @@ def test_arbitrary_text_raises_only_pec_errors(coin):
                 check(text)
             except PecError:
                 pass
+
+
+# sha256 of every outcome below, as computed before the lexer kept token
+# positions on demand: any change to a message, a line or a column moves it
+POSITION_DIGEST = "93a8a76c4f7ba424a3a222be6c5605f88e67d86e8c511427711fff51570abc60"
+MUTATION_ALPHABET = SOUP + ["%", "\xff", "é", "\r\n", "1/0", "0.25", "X", "Go"]
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except PecSyntaxError as err:
+        return "syntax", str(err), err.line, err.col
+    except DomainValidationError as err:
+        return "invalid", [(i.message, i.line, i.col, i.condition)
+                           for i in err.report.issues]
+    except PecError as err:
+        return type(err).__name__, str(err)
+    if isinstance(result, ValidationReport):
+        return "report", [(i.message, i.line, i.col, i.condition)
+                          for i in result.issues]
+    return "ok", render(result) if isinstance(result, DomainDescription) \
+        else format_formula(result)
+
+
+def test_position_digest(coin):
+    # seeded insertions, deletions and reversals of the shipped domains,
+    # random domains and queries, each read as a domain, a report and a query
+    from conftest import EXAMPLES
+    rng = random.Random(22)
+    seeds = [(EXAMPLES / name).read_text()
+             for name in ("coin.pec", "antibiotic.pec", "keys.pec")]
+    seeds += [render(random_domain(rng)) for _ in range(12)]
+    seeds += ["[Coin=Heads]@2 & ![Coin=Tails]@3",
+              "[Coin=Heads | Toss]@1 -> !([Coin=Tails]@0 & [!Toss]@2)"]
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        text = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            j = min(len(text), i + rng.randint(1, 8))
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:i] + rng.choice(MUTATION_ALPHABET) + text[i:]
+            elif edit == 1:
+                text = text[:i] + text[j:]
+            else:
+                text = text[:i] + text[i:j][::-1] + text[j:]
+        for run in (lambda: validate(text), lambda: parse_domain(text),
+                    lambda: parse_query(text, coin.signature)):
+            digest.update(repr(_outcome(run)).encode())
+    assert digest.hexdigest() == POSITION_DIGEST
+
+
+def _rule_heavy_text(rules=20, maxinst=50):
+    """Rule k's body is `A & G=Vk & <extra>`: an action, a guard of its own
+    and two X literals of its own joined by `|`, `->` or `!(.. & ..)`; two
+    occurrences at every instant."""
+    vals = ", ".join(f"V{j}" for j in range(1, rules + 1))
+    acts = ("Go", "Stop", "Wait")
+    lines = [f"maxinst {maxinst}", f"fluent G takes-values {{{vals}}}"]
+    lines += [f"fluent X{i} takes-values {{{vals}}}" for i in range(1, 5)]
+    lines += [f"action {a}" for a in acts]
+    lines.append("initially-one-of {({G=V1, X1=V1, X2=V1, X3=V1, X4=V1}, 1/3), "
+                 "({G=V1, X1=V2, X2=V1, X3=V1, X4=V1}, 2/3)}")
+    for k in range(1, rules + 1):
+        a, b = f"X{k % 4 + 1}=V{k}", f"X{(k + 1) % 4 + 1}=V{k}"
+        extra = (f"({a} | {b})", f"({a} -> {b})", f"!({a} & {b})")[k % 3]
+        lines.append(f"{acts[k % 3]} & G=V{k} & {extra} causes-one-of "
+                     f"{{({{X1=V{k}, G=V1}}, 9/20), ({{}}, 0.55)}}")
+    lines += [f"{a} performed-at {i}" + ("", " with-prob 1/2", " with-prob 0.9")[i % 3]
+              for i in range(maxinst) for a in acts[i % 2:][:2]]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_valid_text_computes_no_position(monkeypatch):
+    from conftest import EXAMPLES
+    from pec import syntax
+
+    def refuse(parser, k):
+        raise AssertionError("a token position was computed")
+    texts = [(EXAMPLES / name).read_text()
+             for name in ("coin.pec", "antibiotic.pec", "keys.pec")]
+    texts.append(_rule_heavy_text())
+    monkeypatch.setattr(syntax._Parser, "where", refuse)
+    for text in texts:
+        assert validate(text).ok()
+        dd = parse_domain(text)
+    assert (len(dd.cprops), len(dd.pprops), dd.signature.maxinst) == (20, 100, 50)
+    with pytest.raises(AssertionError, match="position was computed"):
+        parse_domain(texts[-1] + "%\n$")
+
+
+def test_many_issues_are_located_in_linear_time():
+    # positions come from offsets scanned once: counting the newlines before
+    # each issue's token took 4.4-6.6 s for this text on a 2-core x86-64 VM
+    # (Python 3.11), the scan and bisection 0.5 s
+    text = VALID_PREFIX + "A performed-at 1\n" * 30000
+    start = time.process_time()
+    issues = validate(text).issues
+    elapsed = time.process_time() - start
+    assert len(issues) == 29999
+    assert (issues[-1].line, issues[-1].col) == (30004, 1)
+    assert elapsed < 1.5, f"validation took {elapsed:.2f} s"
+
+
+def _entailment_issues(text, bodies, actions):
+    """What validation reports about entailment, and what plain
+    herbrand_entails says it should, for rule bodies on lines 1.. of text."""
+    got = [(i.line, i.message) for i in validate(text).issues if "entail" in i.message]
+    expected = []
+    for i, body in enumerate(bodies, 1):
+        if not any(herbrand_entails(body, Lit(a, TRUE)) for a in actions):
+            expected.append((i, "causal rule body does not entail any action"))
+        expected += [(i, f"causal rule body entails the body of the rule at line {j}")
+                     for j, other in enumerate(bodies, 1)
+                     if i != j and herbrand_entails(body, other)]
+    return got, sorted(expected)
+
+
+def _rules_text(bodies, tail):
+    return "".join(f"{format_formula(b)} causes-one-of {{({{}}, 1)}}\n"
+                   for b in bodies) + tail
+
+
+def test_entailment_filter_agrees_with_the_tableau():
+    # condition (i) and "entails an action", checked pair by pair against
+    # the tableau on random bodies that share some literals and not others
+    rng = random.Random(23)
+    for _ in range(300):
+        dd = random_domain(rng, max_cprops=3)
+        sig = dd.signature
+        bodies = [c.body for c in dd.cprops]
+        bodies += [random_formula(rng, sig, depth=rng.randint(1, 3)) for _ in range(3)]
+        bodies += [And(random_formula(rng, sig, depth=1), random_formula(rng, sig, depth=2))
+                   for _ in range(2)]
+        tail = render(replace(dd, cprops=()))  # declarations and narrative
+        got, expected = _entailment_issues(_rules_text(bodies, tail), bodies, sig.actions)
+        assert got == expected
+
+
+def test_entailment_filter_special_bodies():
+    a, f = Lit("A", TRUE), Lit("F", "a")
+    bodies = [And(a, Not(a)),  # unsatisfiable: entails every other body
+              And(a, Or(f, Not(f))),  # a tautological conjunct
+              And(a, Not(f)),  # a negated conjunct
+              And(Lit("B", TRUE), Not(f))]  # mentions no literal of the others
+    got, expected = _entailment_issues(_rules_text(bodies, VALID_PREFIX), bodies, "A")
+    assert got == expected == [
+        (1, "causal rule body entails the body of the rule at line 2"),
+        (1, "causal rule body entails the body of the rule at line 3"),
+        (1, "causal rule body entails the body of the rule at line 4"),
+        (3, "causal rule body entails the body of the rule at line 2"),
+        (4, "causal rule body does not entail any action")]
 
 
 class TestParseQuery:
