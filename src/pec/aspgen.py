@@ -95,21 +95,17 @@ def translate(dd: DomainDescription) -> tuple[str, ...]:
         for value in v.values:
             clauses.append(f"possVal({names[v.fluent]}, {names[value]}).")
 
-    for j, outcome in enumerate(dd.iprop.head, start=1):
-        oid = f"id_0_{j}"
-        for subject, value in outcome.effect.items():
-            clauses.append(
-                f"belongsTo(({names[subject]},{names[value]}), {oid}).")
-        clauses.append(f"initialCondition(({oid}, {outcome.weight})).")
-
-    for n, c in enumerate(dd.cprops, start=1):
-        body = _body_text(c.body, names)
+    # the initial distribution is rule 0
+    for n, c in enumerate((dd.iprop, *dd.cprops)):
+        body = _body_text(c.body, names) if n else None
         for j, outcome in enumerate(c.head, start=1):
             oid = f"id_{n}_{j}"
             for subject, value in outcome.effect.items():
                 clauses.append(
                     f"belongsTo(({names[subject]},{names[value]}), {oid}).")
-            if body is not None:
+            if n == 0:
+                clauses.append(f"initialCondition(({oid}, {outcome.weight})).")
+            elif body is not None:
                 clauses.append(
                     f"causesOutcome(({oid}, {outcome.weight}), I)"
                     f" :- {body}.")
@@ -124,17 +120,11 @@ def translate(dd: DomainDescription) -> tuple[str, ...]:
 def _body_text(body: Formula, names) -> str | None:
     """Rule body as text; conjunctive bodies come out flat, other shapes
     as ';'-separated alternatives.  None when the body can never hold."""
-    disjuncts = to_dnf(body)
-    if not disjuncts:
-        return None
-    parts = []
-    for conj in disjuncts:
-        atoms = []
-        for lit, positive in conj:
-            atom = f"holds((({names[lit.subject]},{names[lit.value]}), I))"
-            atoms.append(atom if positive else f"not {atom}")
-        parts.append(", ".join(atoms))
-    return "; ".join(parts)
+    def atom(lit, positive):
+        text = f"holds((({names[lit.subject]},{names[lit.value]}), I))"
+        return text if positive else f"not {text}"
+    return "; ".join(", ".join(atom(*signed) for signed in conj)
+                     for conj in to_dnf(body)) or None
 
 
 # ---------------------------------------------------------------------------

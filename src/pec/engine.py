@@ -7,8 +7,8 @@ int id per reached fluent state, and per node (a fluent id under the
 actions occurring) its total state and, from its first step, where it
 can go.  ``marginal`` is one forward pass over the nodes, carrying mass
 per (fluent id, residual of the query) and listing no worlds; enumeration
-walks them depth first, reaching each world once; the sampler draws along
-them; ``tset``/``transition_graph`` reach them from a state dict.
+walks them depth first, copying a path only where it branches; the sampler
+draws along them; ``tset``/``transition_graph`` reach them from a state dict.
 ``conditional`` sums the enumerated worlds ``core.satisfier`` accepts,
 and ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, an oracle against the enumerator.  Queries
@@ -126,42 +126,39 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     """All worlds of non-zero weight, with exact weights and traces.
 
     Branches over (a) the occurrence patterns of ``_narratives``, (b) the
-    initial choice, and (c) the successors of the table's nodes, one per
-    next fluent state, depth first, so each world is reached once: its
-    weight is carried down in integers and reduced once, and its traces are
-    the product of its outcome groups.  The weights sum to exactly 1.
+    table's initial groups, and (c) the successors of its nodes, one per
+    next fluent state, depth first, so each world is reached once and a
+    path is copied only where it branches: its weight is carried down in
+    integers and reduced once, and its traces are the product of its
+    outcome groups.  The weights sum to exactly 1.
     """
     sig, table = dd.signature, _compile(dd)
-    last, nodes = sig.maxinst, table.nodes
+    last, nodes, scale = sig.maxinst, table.nodes, table.scale
     result = []
     for acting, num, den in _narratives(table.bits, dd.pprops):
         masks = [acting[i] for i in sig.instants]
-        # a link is (previous link, states before it, instant fired,
-        # outcomes, fluent id after): only instants where a rule fires add one
-        stack = [(0, num * ic.weight.numerator, den * ic.weight.denominator, (
-            None, [], -1, (ic,), table.fluent_id(ic.effect))) for ic in reversed(dd.iprop.head)]
+        # (instant, weight, fluent id, states, instants fired, initial and fired outcomes)
+        stack = [(0, num * n, den * scale, g, [], [], [outs])
+                 for g, outs, n, _ in reversed(table.initial)]
         while stack:
-            i, num, den, link = stack.pop()
-            f, held = link[4], []  # the states until a rule fires
+            i, num, den, f, states, fired, outs = stack.pop()
             for i in range(i, last + 1):
                 node = nodes[f].get(masks[i]) or table.node(f, masks[i])
-                held.append(dict(node[0]))
-                if i < last and (targets := node[1] or table.step(f, node, i))[0][1]:
+                states.append(dict(node[0]))
+                if i == last or len(targets := node[1] or table.step(f, node, i)) > 1:
                     break
+                (f, o, _, _), = targets  # one target has the rule's whole weight
+                if o:
+                    fired.append(i)
+                    outs.append(o)
             if i < last:
-                stack += [(i + 1, num * n, den * table.scale, (link, held, i, outs, g))
-                          for g, outs, n, _ in reversed(targets)]
+                stack += [(i + 1, num * n, den * scale, g, states[:], fired + [i], outs + [o])
+                          for g, o, n, _ in reversed(targets)]
                 continue
-            path = []  # a world: its links back to the initial choice
-            while link is not None:
-                path.append(link)
-                link = link[0]
-            path.reverse()
-            states = tuple(itertools.chain(*(node[1] for node in path), held))
-            fired = [node[2] for node in path[1:]]
             traces = tuple(Trace(ic, dict(zip(fired, chosen))) for ic, *chosen
-                           in itertools.product(*(node[3] for node in path)))
-            result.append(WeightedWorld(FiniteWorld(sig, states), Fraction(num, den), traces))
+                           in itertools.product(*outs))
+            world = FiniteWorld(sig, tuple(states))
+            result.append(WeightedWorld(world, Fraction(num, den), traces))
     return result
 
 

@@ -241,6 +241,16 @@ class _Parser:
     def error(self, message: str, k: int | None = None):
         raise PecSyntaxError(message, *self.where(self.pos if k is None else k))
 
+    def number(self, kind: str, what: str) -> int | Fraction:
+        """The current token, of ``kind``, as an int (``nat``) or a Fraction
+        (``dec``): its digits read as one int, so that the value prints."""
+        text = self.expect(kind, what)
+        try:
+            value = int(text.replace(".", ""))
+        except ValueError:  # more digits than int() reads: a located error
+            self.error(f"number too long ({len(text) - (kind == 'dec')} digits)", self.pos - 1)
+        return value if kind == "nat" else Fraction(value, 10 ** (len(text) - 1 - text.index(".")))
+
     # -- statements --------------------------------------------------------
 
     def parse_statements(self) -> _Statements:
@@ -258,14 +268,13 @@ class _Parser:
                 found.actions.append((self.expect("id", "an action name"), k))
             elif text == "maxinst":
                 self.pos += 1
-                number = int(self.expect("nat", "an instant bound"))
-                found.maxinsts.append((number, k))
+                found.maxinsts.append((self.number("nat", "an instant bound"), k))
             elif kind == "initially-one-of":
                 self.pos += 1
                 found.iprops.append(_RawRule(self._braced(self._outcome), k))
             elif kind == "id" and kinds[k + 1] == "performed-at":
                 self.pos += 2  # the action name and performed-at
-                instant = int(self.expect("nat", "an instant"))
+                instant = self.number("nat", "an instant")
                 prob = Fraction(1)
                 if kinds[self.pos] == "with-prob":
                     self.pos += 1
@@ -321,19 +330,20 @@ class _Parser:
 
     def _prob(self) -> Fraction:
         """A probability, made a ``Fraction`` once per distinct text."""
-        pos = self.pos
-        if self.kinds[pos] not in ("dec", "nat"):
+        pos, kind = self.pos, self.kinds[self.pos]
+        if kind not in ("dec", "nat"):
             self.error("expected a probability")
-        self.pos += 1
-        key = self.texts[pos]
-        if self.kinds[pos] == "nat" and self.kinds[pos + 1] == "/":
+        over = kind == "nat" and self.kinds[pos + 1] == "/"
+        key = self.texts[pos] + "/" + self.texts[pos + 2] if over else self.texts[pos]
+        if (value := self.fractions.get(key)) is not None:  # a text read before
+            self.pos += 3 if over else 1
+            return value
+        value = self.number(kind, "a probability")
+        if over:
             self.pos += 1
-            den = self.expect("nat", "a denominator")
-            if int(den) == 0:
+            if (den := self.number("nat", "a denominator")) == 0:
                 self.error("zero denominator", pos + 2)
-            key += "/" + den
-        if (value := self.fractions.get(key)) is None:
-            value = self.fractions[key] = Fraction(key)
+        value = self.fractions[key] = Fraction(value, den) if over else Fraction(value)
         return value
 
     # -- formulas -----------------------------------------------------------
@@ -394,7 +404,7 @@ class _Parser:
             theta = self._formula(lambda: self._body_atom(inner_lits), _BODY_OPERAND)
             self.expect("]")
             self.expect("@")
-            instant = int(self.expect("nat", "an instant"))
+            instant = self.number("nat", "an instant")
             lits.extend((*lit, instant) for lit in inner_lits)
             return at_instant(theta, instant)
         return None

@@ -104,6 +104,14 @@ class TestCheck:
         assert code == 1
         assert "line" in err
 
+    def test_oversized_number(self, capsys, tmp_path):
+        # more digits than int() reads: a located error, not a traceback
+        bad = tmp_path / "long.pec"
+        bad.write_text("maxinst " + "1" * 5000 + "\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "pec check: error: line 1, col 9: number too long (5000 digits)\n"
+
     def test_invalid_utf8(self, capsys, tmp_path):
         bad = tmp_path / "latin1.pec"
         bad.write_bytes(b"maxinst 3\n% caf\xe9\n")
@@ -200,6 +208,18 @@ class TestQuery:
         code, _, err = run(capsys, "query", COIN, "-q", "[Coin=Heads]@9")
         assert code == 1
         assert "beyond maxinst" in err
+
+    def test_oversized_number(self, capsys, tmp_path):
+        code, out, err = run(capsys, "query", COIN, "-q", "[Coin=Heads]@" + "9" * 5000)
+        assert (code, out) == (1, "")
+        assert err == "pec query: error: line 1, col 14: number too long (5000 digits)\n"
+        bad = tmp_path / "long.pec"
+        bad.write_text((EXAMPLES / "coin.pec").read_text()
+                       + "Toss performed-at 2 with-prob 1/" + "7" * 5000 + "\n")
+        code, out, err = run(capsys, "query", str(bad), "-q", "[Coin=Heads]@2")
+        line = len((EXAMPLES / "coin.pec").read_text().splitlines()) + 1
+        assert (code, out) == (1, "")
+        assert err == f"pec query: error: line {line}, col 33: number too long (5000 digits)\n"
 
     def test_invalid_domain(self, capsys, tmp_path):
         bad = tmp_path / "bad.pec"

@@ -264,6 +264,7 @@ class TestSyntaxErrors:
 
 # (label, input kind, text, message, line, col): a tab or a lone '\r' is one
 # column, and '\r\n' ends a line like '\n'
+LONG = "1" * 5000
 POSITIONS = [
     ("comment-lines", "domain", "% header\n% more\nmaxinst x\n",
      "expected an instant bound, found 'x'", 3, 9),
@@ -313,6 +314,23 @@ POSITIONS = [
      "instant 7 beyond maxinst 3", 1, 20),
     ("query-end-of-input", "query", "[Coin=Heads]@1 & [Coin=Heads]@",
      "expected an instant, found end of input", 1, 31),
+    # past the 4,300 digits int() reads: a located error, not a ValueError
+    ("long-maxinst", "domain", f"maxinst {LONG}\n",
+     "number too long (5000 digits)", 1, 9),
+    ("long-occurrence-instant", "domain", VALID_PREFIX + f"A performed-at {LONG}\n",
+     "number too long (5000 digits)", 5, 16),
+    ("long-query-instant", "query", f"[Coin=Heads]@1 & [Toss]@{LONG}",
+     "number too long (5000 digits)", 1, 25),
+    ("long-numerator", "domain", VALID_PREFIX + f"A causes-one-of {{({{F=b}}, {LONG}/2)}}",
+     "number too long (5000 digits)", 5, 26),
+    ("long-denominator", "domain", VALID_PREFIX + f"A causes-one-of {{({{F=b}}, 1/{LONG})}}",
+     "number too long (5000 digits)", 5, 28),
+    ("long-decimal", "domain", VALID_PREFIX + f"A causes-one-of {{({{F=b}}, 0.{LONG})}}",
+     "number too long (5001 digits)", 5, 26),
+    # each part is short enough, but their 8,000 digits are not
+    ("long-decimal-parts", "domain",
+     VALID_PREFIX + f"A causes-one-of {{({{F=b}}, {LONG[:4000]}.{LONG[:4000]})}}",
+     "number too long (8000 digits)", 5, 26),
 ]
 
 
