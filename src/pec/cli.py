@@ -18,6 +18,7 @@ from .core import (
     ConditionZero,
     format_decimal,
     format_state,
+    fraction_text,
 )
 from .engine import (
     conditional,
@@ -92,7 +93,7 @@ def cmd_query(args) -> int:
         value = conditional(dd, phi, psi)
     else:
         value = marginal(dd, phi)
-    print(value if args.exact else format_decimal(value, _digits(args)))
+    print(fraction_text(value) if args.exact else format_decimal(value, _digits(args)))
     return EXIT_OK
 
 

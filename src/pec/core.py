@@ -477,6 +477,25 @@ def outcomes_weight(outcomes: Iterable[Outcome]) -> Fraction:
     return sum((o.weight for o in outcomes), Fraction(0))
 
 
+def int_text(n: int) -> str:
+    """``str(n)`` for an int of any length.  Past the interpreter's limit on
+    the digits one conversion may produce (``sys.set_int_max_str_digits``)
+    it converts by halves, so the limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    k = n.bit_length() * 3 // 20  # about half the decimal digits: log10(2) / 2 > 3/20
+    high, low = divmod(abs(n), 10**k)
+    return "-" * (n < 0) + int_text(high) + int_text(low).rjust(k, "0")
+
+
+def fraction_text(value: Fraction) -> str:
+    """``str(value)`` at any length, by ``int_text``."""
+    text = int_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
+
+
 def format_decimal(value: Fraction, digits: int = 6) -> str:
     """Render an exact rational as a decimal string.
 
@@ -490,7 +509,7 @@ def format_decimal(value: Fraction, digits: int = 6) -> str:
     if 2 * rem > q or (2 * rem == q and scaled % 2 == 1):
         scaled += 1
     sign = "-" if value < 0 and scaled else ""
-    text = str(scaled).rjust(digits + 1, "0")
+    text = int_text(scaled).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

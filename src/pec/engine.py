@@ -12,7 +12,8 @@ draws along them; ``tset``/``transition_graph`` reach them from a state dict.
 ``conditional`` sums the enumerated worlds ``core.satisfier`` accepts,
 and ``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, an oracle against the enumerator.  Queries
-check the window up front; the sampler leaves that to ``satisfies``.
+check the window up front; the sampler folds the query once per distinct
+tuple of nodes at its instants and leaves the window to ``satisfies``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .core import (ConcurrentActivation, ConditionZero, DomainSignature, FALSE, IFormula,
-                   Outcome, Record, TRUE, eval_formula, outcomes_weight, progression,
-                   replace, satisfier, satisfies, update)
+from .core import (_NO_VALUE, ConcurrentActivation, ConditionZero, DomainSignature, FALSE,
+                   IFormula, Outcome, Record, TRUE, eval_formula, fold, outcomes_weight,
+                   progression, replace, satisfier, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
 _TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its _Table)
+# node tuples whose verdict one sample_frequency call keeps: a query over
+# many instants can draw a new tuple nearly every sample
+_VERDICTS = 4096
 
 
 class FiniteWorld(Record):
@@ -450,12 +454,30 @@ def sample_world(dd: DomainDescription, seed: int) -> FiniteWorld:
 
 def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
                      seed: int) -> Fraction:
-    """Empirical frequency of ``phi`` over ``count`` sampled worlds."""
+    """Empirical frequency of ``phi`` over ``count`` sampled worlds.
+
+    Phi's truth in a world depends only on its states at phi's instants,
+    and a draw hands out the table's node dicts, which live as long as the
+    table: so ``satisfies`` folds phi once per distinct tuple of nodes at
+    those instants, and later draws through the same nodes reuse its
+    verdict (for the first ``_VERDICTS`` tuples).  Instants outside the
+    window are left out of the tuple, so the first ``satisfies`` reports
+    them, after the first draw."""
     if count <= 0:
         raise ValueError("sample count must be positive")
-    rng = random.Random(seed)
-    draw = _sampler(dd)
-    return Fraction(sum(satisfies(draw(rng), phi) for _ in range(count)), count)
+    rng, draw, last = random.Random(seed), _sampler(dd), dd.signature.maxinst
+    reads: dict = {}
+    fold(phi, lambda il: 0 <= il.instant <= last and reads.setdefault(il.instant), _NO_VALUE)
+    verdicts: dict[tuple, bool] = {}  # node ids at the instants read -> phi's truth
+    hits = 0
+    for _ in range(count):
+        states = draw(rng)
+        if (verdict := verdicts.get(key := tuple([id(states[i]) for i in reads]))) is None:
+            verdict = satisfies(states, phi)
+            if len(verdicts) < _VERDICTS:
+                verdicts[key] = verdict
+        hits += verdict
+    return Fraction(hits, count)
 
 
 def _sampler(dd: DomainDescription):

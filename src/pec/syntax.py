@@ -68,6 +68,7 @@ from .core import (
     conjunct_atoms,
     fold,
     herbrand_entails,
+    int_text,
     open_branches,
 )
 
@@ -487,7 +488,12 @@ def _validate_statements(found: _Statements) -> ValidationReport:
                 add(f"outcome weight {o.weight} outside (0,1]", o.loc)
         total = sum((o.weight for o in rule.outcomes), Fraction(0))
         if total != 1:
-            add(f"{what} weights sum to {total}, expected 1", rule.loc)
+            try:
+                shown = str(total)
+            except ValueError:  # more digits than one str() call may produce
+                shown = (f"a fraction of {len(int_text(total.numerator))} digits over "
+                         f"{len(int_text(total.denominator))} digits")
+            add(f"{what} weights sum to {shown}, expected 1", rule.loc)
         effects = [o.effect() for o in rule.outcomes]
         for i, eff in enumerate(effects):
             if eff in effects[:i]:

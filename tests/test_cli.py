@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +43,14 @@ def readme_commands():
 
 
 README_COMMANDS = readme_commands()
+
+
+def read_int(text: str) -> int:
+    """``int(text)`` past the interpreter's digit limit, 1,000 digits at a time."""
+    value = 0
+    for k in range(0, len(text), 1000):
+        value = value * 10 ** len(text[k:k + 1000]) + int(text[k:k + 1000])
+    return value
 
 
 def run_module(*argv, **kwargs):
@@ -92,6 +101,19 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(bad))
         assert code == 2
         assert "(iv)" in out
+
+    def test_weight_sum_too_long_to_print(self, capsys, tmp_path):
+        # the sum of two short weight tokens has 8,001 digits over 8,001
+        d = 10**4000
+        bad = tmp_path / "bad.pec"
+        bad.write_text("maxinst 2\nfluent F takes-values {a, b}\naction A\n"
+                       "initially-one-of {({F=a}, 1)}\n"
+                       f"A causes-one-of {{({{F=b}}, 1/{d + 1}), ({{F=a}}, 1/{d + 3}), "
+                       "({}, 1/2)}\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, err) == (2, "")
+        assert out == ("line 5, col 1: causes-one-of weights sum to a fraction "
+                       "of 8001 digits over 8001 digits, expected 1\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.pec")
@@ -187,6 +209,23 @@ class TestQuery:
         query = " & ".join(["[Coin=Heads]@2"] * 1400)
         code, out, _ = run(capsys, "query", COIN, "--exact", "-q", query)
         assert (code, out) == (0, "51/100\n")
+
+    def test_exact_value_too_long_for_one_str(self, capsys, tmp_path):
+        # 1 - (1 - 1/d)**12 over d**12: more than 4,800 digits, printed in
+        # full, and the interpreter's digit limit is left as it was
+        d = 10**400 + 7
+        big = tmp_path / "big.pec"
+        big.write_text("maxinst 13\nfluent F takes-values {a, b}\naction A\n"
+                       "initially-one-of {({F=a}, 1)}\nA causes-one-of {({F=b}, 1)}\n"
+                       + "".join(f"A performed-at {i} with-prob 1/{d}\n" for i in range(12)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "query", str(big), "-q", "[F=b]@13", "--exact")
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        numerator, denominator = map(read_int, out.strip().split("/"))
+        assert Fraction(numerator, denominator) == 1 - (1 - Fraction(1, d)) ** 12
+        code, out, _ = run(capsys, "query", str(big), "-q", "[F=b]@13", "--precision", "5000")
+        assert (code, len(out), out[:10]) == (0, 5003, "0.00000000")
 
     def test_negative_precision(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction
@@ -41,7 +42,7 @@ from pec import (
     update,
 )
 from pec import core, marginal, parse_domain, parse_query
-from pec.core import format_state, satisfier
+from pec.core import format_state, fraction_text, int_text, satisfier
 from helpers import alternating, table_entails, random_formula
 
 
@@ -407,6 +408,26 @@ class TestFormatDecimal:
     def test_negative_digits(self):
         with pytest.raises(ValueError, match="digits must be non-negative"):
             format_decimal(Fraction(1, 2), -1)
+
+    def test_past_the_interpreter_digit_limit(self):
+        # int_text converts by halves, so the limit is read, never lifted
+        rng = random.Random(5)
+        values = [0, -7, 10**4300, 10**4299 - 1, -(3**30000)] + [
+            rng.randrange(-10**rng.randrange(1, 20000), 10**rng.randrange(1, 20000))
+            for _ in range(30)]
+        texts = [int_text(n) for n in values]
+        fractions = [fraction_text(Fraction(n, 10**4500 + 1)) for n in values[:5]]
+        decimal = format_decimal(Fraction(1, 3), 5000)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert texts == [str(n) for n in values]
+            assert fractions == [str(Fraction(n, 10**4500 + 1)) for n in values[:5]]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert decimal == "0." + "3" * 5000
 
 
 class TestSignature:

@@ -55,10 +55,11 @@ from pec import (
     tset,
     update,
 )
-from pec.engine import _TABLES, _cut
+from pec.core import satisfies
+from pec.engine import _TABLES, _cut, _sampler
 from conftest import load_domain
-from helpers import (all_worlds, alternating, canonical_trace, micro_domain,
-                     random_domain, random_formula, random_iformula,
+from helpers import (all_worlds, alternating, canonical_trace, covering_iformula,
+                     micro_domain, random_domain, random_formula, random_iformula,
                      reference_sample)
 
 
@@ -796,6 +797,37 @@ class TestSampling:
                 stream = random.Random(seed)
                 hits = sum(reference_sample(dd, stream).satisfies(phi) for _ in range(count))
                 assert sample_frequency(dd, phi, count, seed) == Fraction(hits, count)
+
+    # the verdict memoised per node tuple must be the fold of phi on every
+    # draw, over multi-instant queries with !, -> and action literals too,
+    # also once the memo is full
+    @pytest.mark.parametrize("kept", [pec.engine._VERDICTS, 1])
+    def test_frequency_equals_a_fold_per_draw(self, walk_pool, kept, monkeypatch):
+        monkeypatch.setattr(pec.engine, "_VERDICTS", kept)
+        rng = random.Random(23)
+        shipped = [  # walk_pool starts with coin, antibiotic and keys
+            ["[Coin=Heads]@2", "[Toss]@1 -> ![Coin=Heads]@3 | [Coin=Tails]@2"],
+            ["[Bacteria=Resistant]@2 | [Rash=Absent]@4",
+             "![TakesMedicine]@1 -> ([Bacteria=Absent]@4 & ![Rash=Present]@3)"],
+            ["[LockedOut]@3", "[PickupKeys]@1 -> ([LockedOut]@3 | ![HasKeys]@2)"]]
+        for k, dd in enumerate(walk_pool):
+            sig = dd.signature
+            single = at_instant(random_formula(rng, sig), rng.randint(0, sig.maxinst))
+            queries = [parse_query(q, sig) for q in shipped[k]] if k < len(shipped) else []
+            for phi in queries + [single, random_iformula(rng, sig), covering_iformula(rng, sig)]:
+                seed, count = rng.randrange(2**31), 500 if phi in queries else rng.randint(1, 60)
+                stream, draw = random.Random(seed), _sampler(dd)
+                hits = sum(satisfies(draw(stream), phi) for _ in range(count))
+                assert sample_frequency(dd, phi, count, seed) == Fraction(hits, count)
+
+    def test_one_fold_per_distinct_node_tuple(self, coin, monkeypatch):
+        phi = parse_query("[Coin=Heads]@2", coin.signature)
+        expected, calls = sample_frequency(coin, phi, 10000, 7), []
+        fold = pec.engine.satisfies
+        monkeypatch.setattr(pec.engine, "satisfies",
+                            lambda states, phi: calls.append(phi) or fold(states, phi))
+        assert sample_frequency(coin, phi, 10000, 7) == expected
+        assert 1 <= len(calls) <= 2  # coin reaches instant 2 as Heads or as Tails
 
     # the sampler's float cuts are exact only because random() draws from
     # the lattice k / 2**53; a Python whose random() left it would fail here

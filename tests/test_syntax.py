@@ -116,6 +116,17 @@ class TestCompletion:
             "A causes-one-of {({F=b}, 3/4), ({}, 1/2)}\n")
         assert "weights sum to 5/4" in str(report)
 
+    def test_weight_sum_too_long_to_print(self):
+        # each weight is a short enough token, but their sum has 8,001
+        # digits over 8,001: more than one str() call may produce
+        d = 10**4000
+        report = validate(
+            "maxinst 2\nfluent F takes-values {a, b}\naction A\n"
+            "initially-one-of {({F=a}, 1)}\n"
+            f"A causes-one-of {{({{F=b}}, 1/{d + 1}), ({{F=a}}, 1/{d + 3}), ({{}}, 1/2)}}\n")
+        assert str(report) == ("line 5, col 1: causes-one-of weights sum to a fraction "
+                               "of 8001 digits over 8001 digits, expected 1")
+
 
 VALID_PREFIX = ("maxinst 3\nfluent F takes-values {a, b}\naction A\n"
                 "initially-one-of {({F=a}, 1)}\n")
