@@ -464,12 +464,11 @@ class Outcome(Record):
     weight: Fraction
 
     def __post_init__(self):
-        weight = Fraction(self.weight)
-        if weight < 0 or weight > 1:
-            raise PecError(f"probability {weight} outside [0,1]")
-        if weight == 0:
-            raise PecError("probability must be strictly positive")
-        object.__setattr__(self, "weight", weight)
+        if type(weight := self.weight) is not Fraction:
+            object.__setattr__(self, "weight", weight := Fraction(weight))
+        if not 0 < weight.numerator <= weight.denominator:  # 0 < weight <= 1
+            raise PecError(f"probability {weight} outside [0,1]" if weight.numerator
+                           else "probability must be strictly positive")
 
 
 def outcomes_weight(outcomes: Iterable[Outcome]) -> Fraction:

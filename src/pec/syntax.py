@@ -31,7 +31,9 @@ with its token index, under its kind (``fluent`` as a ``VProp``, rules
 as raw rules); ``_validate_statements`` reports every violated condition
 at its location; ``parse_domain`` builds the location-free
 ``DomainDescription``.  Statements may come in any order; within a kind,
-source order is kept.
+source order is kept.  A weight becomes a ``Fraction`` once per distinct
+text, its range is checked on the numerator and denominator, and the
+parser sums each head once.
 
 Condition (i) asks whether one rule body entails another.  Literals are
 independent Herbrand atoms, so a satisfiable body cannot entail a formula
@@ -70,6 +72,7 @@ from .core import (
     herbrand_entails,
     int_text,
     open_branches,
+    outcomes_weight,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,7 @@ _TOKEN_RE = re.compile(r"""(?:[ \t\r\n]+|%[^\n]*)*
 # kind: "id", "nat", "dec", "bad", "eof", or the text of a keyword or punctuation mark
 _KINDS = {text: text for text in "takes-values initially-one-of causes-one-of "
           "performed-at with-prob -> { } ( ) , = ! & | @ [ ] /".split()} | {"": "eof"}
+_ONE = Fraction(1)  # shared by every certain occurrence and every weight written "1"
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,7 @@ class _RawRule(Record):
 
     outcomes: list[_RawOutcome]
     loc: int
+    total: Fraction  # the weights' sum, 1 after an implicit completion
     body: Formula | None = None
     body_lits: Sequence[tuple[str, str, int]] = ()
 
@@ -216,7 +221,7 @@ class _Parser:
             kind[t] = "id" if c.isalpha() else \
                 ("dec" if "." in t else "nat") if c.isdigit() else "bad"
         self.kinds = list(map(kind.__getitem__, texts))
-        self.text, self.starts, self.pos, self.fractions = text, None, 0, {}
+        self.text, self.starts, self.pos, self.fractions = text, None, 0, {"1": _ONE}
         if "bad" in kind.values():
             k = self.kinds.index("bad")
             self.error(f"unexpected character {texts[k]!r}", k)
@@ -272,11 +277,12 @@ class _Parser:
                 found.maxinsts.append((self.number("nat", "an instant bound"), k))
             elif kind == "initially-one-of":
                 self.pos += 1
-                found.iprops.append(_RawRule(self._braced(self._outcome), k))
+                outcomes = self._braced(self._outcome)
+                found.iprops.append(_RawRule(outcomes, k, outcomes_weight(outcomes)))
             elif kind == "id" and kinds[k + 1] == "performed-at":
                 self.pos += 2  # the action name and performed-at
                 instant = self.number("nat", "an instant")
-                prob = Fraction(1)
+                prob = _ONE
                 if kinds[self.pos] == "with-prob":
                     self.pos += 1
                     prob = self._prob()
@@ -292,10 +298,11 @@ class _Parser:
         outcomes = self._braced(self._outcome)
         # Implicit empty outcome: only when weights fall short of 1 and no
         # explicit empty effect is present.
-        total = sum((o.weight for o in outcomes), Fraction(0))
-        if total < 1 and all(o.literals for o in outcomes):
+        total = outcomes_weight(outcomes)
+        if total.numerator < total.denominator and all(o.literals for o in outcomes):
             outcomes.append(_RawOutcome([], 1 - total, loc))
-        return _RawRule(outcomes, loc, body, lits)
+            total = _ONE
+        return _RawRule(outcomes, loc, total, body, lits)
 
     def _braced(self, item, empty_ok: bool = False) -> list:
         """``{item, item, ...}``, or ``{}`` when ``empty_ok``."""
@@ -484,10 +491,9 @@ def _validate_statements(found: _Statements) -> ValidationReport:
             for n, (subject, _, k) in enumerate(o.literals):
                 if subject in named[:n] and subject not in actions:
                     add(f"fluent {subject} appears twice in one effect", k)
-            if not 0 < o.weight <= 1:
+            if not 0 < o.weight.numerator <= o.weight.denominator:  # 0 < weight <= 1
                 add(f"outcome weight {o.weight} outside (0,1]", o.loc)
-        total = sum((o.weight for o in rule.outcomes), Fraction(0))
-        if total != 1:
+        if (total := rule.total) != 1:
             try:
                 shown = str(total)
             except ValueError:  # more digits than one str() call may produce
@@ -536,7 +542,7 @@ def _validate_statements(found: _Statements) -> ValidationReport:
             add(f"unknown action {p.action}", k)
         if maxinst is not None and p.instant >= maxinst:
             add(f"occurrence instant {p.instant} must be below maxinst {maxinst}", k)
-        if not 0 < p.prob <= 1:
+        if not 0 < p.prob.numerator <= p.prob.denominator:
             add(f"occurrence probability {p.prob} outside (0,1]", k)
         if (p.action, p.instant) in seen_occurrences:
             add(f"duplicate occurrence of {p.action} at instant {p.instant}", k, "(iv)")

@@ -371,10 +371,17 @@ class TestOutcomes:
         stored = Outcome({}, weight).weight
         assert type(stored) is Fraction and stored == Fraction(1, 2)
 
+    def test_fraction_weight_kept(self):
+        weight = Fraction(1, 3)
+        assert Outcome({}, weight).weight is weight
+
     @pytest.mark.parametrize("weight,message", [
         ("3/2", "probability 3/2 outside [0,1]"),
         (-1, "probability -1 outside [0,1]"),
         (0, "probability must be strictly positive"),
+        (Fraction(3, 2), "probability 3/2 outside [0,1]"),
+        (Fraction(-1), "probability -1 outside [0,1]"),
+        (Fraction(0), "probability must be strictly positive"),
     ])
     def test_weight_messages(self, weight, message):
         with pytest.raises(PecError) as err:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -49,6 +50,11 @@ class TestParseDomain:
                                             Fraction(1, 50)]
         assert head[2].effect == {}
         assert coin.pprops[0].prob == 1
+
+    def test_certain_occurrences_share_one_prob(self):
+        dd = parse_domain(VALID_PREFIX + "A performed-at 0\nA performed-at 1 with-prob 1\n"
+                          "A performed-at 2\n")
+        assert len({id(p.prob) for p in dd.pprops}) == 1
 
     def test_antibiotic(self, antibiotic):
         sig = antibiotic.signature
@@ -131,6 +137,9 @@ class TestCompletion:
 VALID_PREFIX = ("maxinst 3\nfluent F takes-values {a, b}\naction A\n"
                 "initially-one-of {({F=a}, 1)}\n")
 
+# the implicit ({}, 1) completes the head, so only the weight is at fault
+LONE_ZERO_WEIGHT = VALID_PREFIX + "A causes-one-of {({F=b}, 0)}\n"
+
 BAD_DOMAINS = [
     ("duplicate v-prop",
      VALID_PREFIX + "fluent F takes-values {a, b}\n",
@@ -208,6 +217,20 @@ BAD_DOMAINS = [
     ("occurrence of a fluent",
      VALID_PREFIX + "F performed-at 1\n",
      "line 5, col 1: F is a fluent, not an action"),
+    ("occurrence probability above one",
+     VALID_PREFIX + "A performed-at 1 with-prob 3/2\n",
+     "line 5, col 1: occurrence probability 3/2 outside (0,1]"),
+    ("decimal occurrence probability above one",
+     VALID_PREFIX + "A performed-at 1 with-prob 1.5\n",
+     "line 5, col 1: occurrence probability 3/2 outside (0,1]"),
+    ("initial outcome weight zero",
+     VALID_PREFIX.replace("({F=a}, 1)", "({F=a}, 0), ({F=b}, 1)"),
+     "line 4, col 19: outcome weight 0 outside (0,1]"),
+    ("decimal outcome weight zero",
+     VALID_PREFIX + "A causes-one-of {({F=b}, 0.0), ({}, 1)}\n",
+     "line 5, col 18: outcome weight 0 outside (0,1]"),
+    ("lone zero weight, completed to one",
+     LONE_ZERO_WEIGHT, "line 5, col 18: outcome weight 0 outside (0,1]"),
 ]
 
 
@@ -223,6 +246,10 @@ class TestValidation:
         for _, text, _ in BAD_DOMAINS:
             for issue in validate(text).issues:
                 assert issue.line >= 1 and issue.col >= 1
+
+    def test_completed_zero_weight_is_one_issue(self):
+        assert str(validate(LONE_ZERO_WEIGHT)) == \
+            "line 5, col 18: outcome weight 0 outside (0,1]"
 
     def test_conditions_cited(self):
         report = validate(VALID_PREFIX +
@@ -444,6 +471,38 @@ def test_position_digest(coin):
                     lambda: parse_query(text, coin.signature)):
             digest.update(repr(_outcome(run)).encode())
     assert digest.hexdigest() == POSITION_DIGEST
+
+
+# sha256 of every report below, as computed before weights were range-checked
+# on numerator and denominator and each head was summed once
+WEIGHT_DIGEST = "655c582276ba31724a9066275e774adf4fd26b59a24de63e087cfd1be0041b9f"
+_WEIGHT = re.compile(r"(?<=, )[0-9./]+(?=\))|(?<=with-prob )[0-9./]+")
+
+
+def _weight_text(rng, weight):
+    """Zero, above one, ``weight`` nudged just above or below, or itself."""
+    w = Fraction(weight)
+    return rng.choice(["0", "0.0", "3/2", "1.5", "1", str(w), str(w + Fraction(1, 1000)),
+                       str(w - Fraction(1, 1000)), str(w + Fraction(1, 10**30))])
+
+
+def test_weight_report_digest():
+    # seeded random domains with some weights, occurrence probabilities and
+    # explicit ({}, w) outcomes perturbed: the reports keep their text and order
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        text = render(random_domain(rng, max_cprops=3))
+        text = _WEIGHT.sub(lambda m: _weight_text(rng, m.group())
+                           if rng.random() < 0.3 else m.group(), text)
+        text = re.sub("causes-one-of {", lambda m: m.group() + (
+            f"({{}}, {_weight_text(rng, Fraction(rng.randint(1, 9), 10))}), "
+            if rng.random() < 0.3 else ""), text)
+        text = re.sub(r"performed-at \d+$", lambda m: m.group() + (
+            f" with-prob {_weight_text(rng, 1)}" if rng.random() < 0.3 else ""),
+            text, flags=re.MULTILINE)
+        digest.update(str(validate(text)).encode() + b"\0")
+    assert digest.hexdigest() == WEIGHT_DIGEST
 
 
 def _rule_heavy_text(rules=20, maxinst=50):
