@@ -36,6 +36,7 @@ from .syntax import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SEMANTIC = 2
+MAX_PRECISION = 100_000  # format_decimal is quadratic in its digits
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -61,6 +62,8 @@ def _digits(args) -> int:
             _usage_error(args, f"PEC_PRECISION must be an integer, not {setting!r}")
     if digits < 0:
         _usage_error(args, "precision must be non-negative")
+    if digits > MAX_PRECISION:
+        _usage_error(args, f"precision must be at most {MAX_PRECISION}")
     return digits
 
 

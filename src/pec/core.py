@@ -355,13 +355,6 @@ def progression(phi: IFormula, maxinst: int):
         [_holds(state, il.subject, il.value) for il in at[i]]))
 
 
-def satisfier(phi: IFormula, maxinst: int) -> Callable[[Sequence[Mapping]], bool]:
-    """``satisfies(·, phi)`` over the window ``0..maxinst``: ``progression``'s
-    step folded over the instants of phi's literals."""
-    at, step = progression(phi, maxinst)
-    return lambda states: functools.reduce(lambda rest, i: step(rest, i, states[i]), at, phi)
-
-
 def _branches(pending, ors_last: bool):
     """``open_branches`` from the linked list ``pending`` of signed nodes
     ``(node, sign, rest)``; with ``ors_last``, a fork waits until no

@@ -7,10 +7,11 @@ int id per reached fluent state, and per node (a fluent id under the
 actions occurring) its total state and, from its first step, where it
 can go.  ``marginal`` is one forward pass over the nodes, carrying mass
 per (fluent id, residual of the query) and listing no worlds; enumeration
-walks them depth first, copying a path only where it branches; the sampler
-draws along them; ``tset``/``transition_graph`` reach them from a state dict.
-``conditional`` sums the enumerated worlds ``core.satisfier`` accepts,
-and ``check_world`` stays an independent brute-force judge of the three
+walks them depth first, copying a path only where it branches (traces wait
+for their first read); the sampler draws along them; ``tset`` and
+``transition_graph`` reach them from a state dict.  ``conditional`` sums the
+enumerated worlds, folding a formula once per tuple of its literal truths;
+``check_world`` stays an independent brute-force judge of the three
 well-behavedness conditions, an oracle against the enumerator.  Queries
 check the window up front; the sampler folds the query once per distinct
 tuple of nodes at its instants and leaves the window to ``satisfies``.
@@ -18,6 +19,7 @@ tuple of nodes at its instants and leaves the window to ``satisfies``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -28,8 +30,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .core import (_NO_VALUE, ConcurrentActivation, ConditionZero, DomainSignature, FALSE,
-                   IFormula, Outcome, Record, TRUE, eval_formula, fold, outcomes_weight,
-                   progression, replace, satisfier, satisfies, update)
+                   IFormula, Outcome, Record, TRUE, _holds, eval_formula, fold, outcomes_weight,
+                   progression, replace, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
 _TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its _Table)
@@ -73,7 +75,12 @@ def trace_eval(tr: Trace) -> Fraction:
 class WeightedWorld(Record):
     world: FiniteWorld
     weight: Fraction
-    traces: tuple[Trace, ...]
+    choices: tuple  # (instants fired, (initial outcome group, one group per fired instant))
+
+    @functools.cached_property
+    def traces(self) -> tuple[Trace, ...]:  # an outcome from each group, built on first read
+        fired, groups = self.choices
+        return tuple(Trace(ic, dict(zip(fired, rest))) for ic, *rest in itertools.product(*groups))
 
 
 class WorldReport(Record):
@@ -133,8 +140,8 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     table's initial groups, and (c) the successors of its nodes, one per
     next fluent state, depth first, so each world is reached once and a
     path is copied only where it branches: its weight is carried down in
-    integers and reduced once, and its traces are the product of its
-    outcome groups.  The weights sum to exactly 1.
+    integers and reduced once, and its outcome groups are kept as its
+    ``choices``.  The weights sum to exactly 1.
     """
     sig, table = dd.signature, _compile(dd)
     last, nodes, scale = sig.maxinst, table.nodes, table.scale
@@ -159,10 +166,8 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
                 stack += [(i + 1, num * n, den * scale, g, states[:], fired + [i], outs + [o])
                           for g, o, n, _ in reversed(targets)]
                 continue
-            traces = tuple(Trace(ic, dict(zip(fired, chosen))) for ic, *chosen
-                           in itertools.product(*outs))
             world = FiniteWorld(sig, tuple(states))
-            result.append(WeightedWorld(world, Fraction(num, den), traces))
+            result.append(WeightedWorld(world, Fraction(num, den), (tuple(fired), tuple(outs))))
     return result
 
 
@@ -359,15 +364,29 @@ def entails(dd: DomainDescription, h: HProposition) -> bool:
 
 def conditional(dd: DomainDescription, phi: IFormula,
                 psi: IFormula) -> Fraction:
-    """P(phi | psi) = P(phi and psi) / P(psi); ConditionZero if P(psi)=0."""
-    maxinst = dd.signature.maxinst
-    holds, holds_given = satisfier(phi, maxinst), satisfier(psi, maxinst)
-    given = [w for w in enumerate_worlds(dd) if holds_given(w.world.states)]
-    denominator = sum((w.weight for w in given), Fraction(0))
-    if denominator == 0:
+    """P(phi | psi) = P(phi and psi) / P(psi); ConditionZero if P(psi)=0.
+
+    Windows are checked first, phi's first; ``satisfies`` folds psi once per
+    tuple of its literals' truths over the enumerated worlds, phi alike where
+    psi holds, and the weights add up as integer numerators per denominator."""
+    last, known = dd.signature.maxinst, {}  # (formula, literal truths) -> verdict
+    reads = {f: [(i, il.subject, il.value) for i, lits in progression(f, last)[0].items()
+                 for il in lits] for f in (phi, psi)}
+
+    def holds(f, states) -> bool:
+        key = f, tuple([_holds(states[i], s, v) for i, s, v in reads[f]])
+        return known[key] if key in known else known.setdefault(key, satisfies(states, f))
+
+    given, both = defaultdict(int), defaultdict(int)
+    for w in enumerate_worlds(dd):
+        if holds(psi, states := w.world.states):
+            given[w.weight.denominator] += w.weight.numerator
+            if holds(phi, states):
+                both[w.weight.denominator] += w.weight.numerator
+    p_psi, p_both = (sum((Fraction(n, d) for d, n in s.items()), Fraction(0)) for s in (given, both))
+    if p_psi == 0:
         raise ConditionZero("conditioning formula has probability 0")
-    numerator = sum((w.weight for w in given if holds(w.world.states)), Fraction(0))
-    return numerator / denominator
+    return p_both / p_psi
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from pec.cli import main
+from pec.cli import MAX_PRECISION, main
 from conftest import EXAMPLES, GOLDEN, ROOT
 
 COIN = str(EXAMPLES / "coin.pec")
@@ -231,6 +231,24 @@ class TestQuery:
         with pytest.raises(SystemExit) as err:
             main(["query", COIN, "-q", "[Coin=Heads]@2", "--precision", "-1"])
         assert err.value.code == 1
+
+    # format_decimal is quadratic in its digits: a huge precision would spin
+    # for minutes, so it is refused as a usage error
+    @pytest.mark.parametrize("setting", ["flag", "env"])
+    def test_precision_above_the_bound(self, capsys, monkeypatch, setting):
+        if setting == "flag":
+            flag = ["--precision", str(MAX_PRECISION + 1)]
+        else:
+            flag = []
+            monkeypatch.setenv("PEC_PRECISION", "99999999999")
+        with pytest.raises(SystemExit) as err:
+            main(["query", COIN, "-q", "[Coin=Heads]@2", *flag])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            f"pec query: error: precision must be at most {MAX_PRECISION}\n")
+        monkeypatch.setenv("PEC_PRECISION", str(MAX_PRECISION))
+        code, out, _ = run(capsys, "query", COIN, "-q", "[Coin=Heads]@2")
+        assert (code, len(out), out[:8]) == (0, MAX_PRECISION + 3, "0.510000")
 
     def test_condition_zero(self, capsys):
         code, _, err = run(capsys, "query", COIN, "-q", "[Coin=Heads]@1",

@@ -42,7 +42,7 @@ from pec import (
     update,
 )
 from pec import core, marginal, parse_domain, parse_query
-from pec.core import format_state, fraction_text, int_text, satisfier
+from pec.core import format_state, fraction_text, int_text
 from helpers import alternating, table_entails, random_formula
 
 
@@ -144,10 +144,10 @@ class TestSatisfies:
             satisfies(W1, ILit("Coin", "Heads", 4))
 
     @pytest.mark.parametrize("instant", [-1, 4])
-    def test_satisfier_checks_the_window_up_front(self, instant):
+    def test_progression_checks_the_window_up_front(self, instant):
         phi = Or(ILit("Coin", "Heads", 0), ILit("Coin", "Heads", instant))
         with pytest.raises(RangeError) as err:
-            satisfier(phi, 3)
+            core.progression(phi, 3)
         assert str(err.value) == f"instant {instant} outside the window 0..3"
 
     def test_progression_merges_residuals(self):

@@ -1,10 +1,12 @@
 """Semantics engine: enumeration, world checking, queries, transitions."""
 
+import collections
 import contextlib
 import functools
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -26,9 +28,11 @@ from pec import (
     HProposition,
     ILit,
     Lit,
+    Not,
     Or,
     Outcome,
     PProp,
+    PecError,
     RangeError,
     SignatureError,
     TRUE,
@@ -228,6 +232,31 @@ class TestEnumerate:
         second = enumerate_worlds(antibiotic)
         assert [w.world for w in first] == [w.world for w in second]
         assert [w.weight for w in first] == [w.weight for w in second]
+
+    def test_traces_are_built_on_first_read(self, coin, monkeypatch):
+        built, make = [], pec.engine.Trace
+        monkeypatch.setattr(pec.engine, "Trace", lambda *args: built.append(args) or make(*args))
+        worlds = enumerate_worlds(coin)
+        assert built == []
+        assert all("traces" not in w.__dict__ for w in worlds)
+        first = [w.traces for w in worlds]
+        assert len(built) == sum(map(len, first)) == 3
+        assert all(w.traces is traces for w, traces in zip(worlds, first))
+        assert len(built) == 3
+
+    def test_records_compare_pickle_and_replace_as_before(self, coin, antibiotic):
+        for dd in (coin, antibiotic):
+            worlds, read = enumerate_worlds(dd), enumerate_worlds(dd)
+            traces = [w.traces for w in read]  # built on one side only
+            assert worlds == read
+            for w, w2, expected in zip(worlds, read, traces):
+                for twin in (w, w2):
+                    for copy in (pickle.loads(pickle.dumps(twin)), replace(twin)):
+                        assert copy == w
+                        assert copy.traces == expected
+                with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                    hash(w)  # outcome effects are dicts, as they were in the traces
+                assert replace(w, weight=w.weight / 2) != w
 
 
 @pytest.fixture(scope="module")
@@ -566,6 +595,33 @@ class TestQueries:
         den = sum((w.weight for w in worlds
                    if w.world.satisfies(psi)), Fraction(0))
         assert conditional(coin, phi, psi) == num / den
+
+    def test_one_fold_per_distinct_valuation(self, monkeypatch):
+        # six uncertain tosses give 729 worlds; psi is folded once per tuple
+        # of its literal truths, phi once per tuple of its own where psi holds
+        dd = parse_domain(
+            "maxinst 7\nfluent Coin takes-values {Heads, Tails}\n"
+            "action Toss\ninitially-one-of {({Coin=Heads}, 1)}\n"
+            "Toss causes-one-of {({Coin=Heads}, 0.49), ({Coin=Tails}, 0.49), ({}, 0.02)}\n"
+            + "".join(f"Toss performed-at {i} with-prob 1/2\n" for i in range(1, 7)))
+        phi = parse_query("[Coin=Heads]@7 | [Toss]@3 & [Coin=Tails]@5", dd.signature)
+        psi = parse_query("[Coin=Tails]@4 -> [Toss]@2 | ![Coin=Heads]@6", dd.signature)
+        phi_lits = [ILit("Coin", "Heads", 7), ILit("Toss", TRUE, 3), ILit("Coin", "Tails", 5)]
+        psi_lits = [ILit("Coin", "Tails", 4), ILit("Toss", TRUE, 2), ILit("Coin", "Heads", 6)]
+        worlds = enumerate_worlds(dd)
+        assert len(worlds) == 729
+        given = [w for w in worlds if w.world.satisfies(psi)]
+        valuations = [{tuple(w.world.satisfies(lit) for lit in lits) for w in pool}
+                      for lits, pool in ((psi_lits, worlds), (phi_lits, given))]
+        expected = sum(w.weight for w in given if w.world.satisfies(phi)) / sum(
+            w.weight for w in given)
+        calls, counted = [], pec.engine.satisfies
+        monkeypatch.setattr(pec.engine, "satisfies",
+                            lambda states, f: calls.append(f) or counted(states, f))
+        assert conditional(dd, phi, psi) == expected
+        assert calls.count(psi) == len(valuations[0]) == 8
+        assert calls.count(phi) == len(valuations[1])
+        assert len(calls) == len(valuations[0]) + len(valuations[1])
 
     def test_condition_zero(self, coin):
         sig = coin.signature
@@ -1003,3 +1059,38 @@ def test_worlds_match_the_dict_keyed_walk(walk_pool):
              for dd in pool + clash_twins(30, **long)]
     digest = hashlib.sha256(repr(lines).encode()).hexdigest()
     assert digest == WORLDS_DIGEST
+
+
+def answer(call):
+    """What a call returns, or the kind and message of the error it raises."""
+    try:
+        return repr(call())
+    except PecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Computed with the conditional that summed the weights of the worlds
+# core.satisfier accepted, one Fraction add per world: it pins every value
+# and every error, and which one comes first, over the 203-domain acceptance
+# pool, the 50 micro domains and 40 clash twins, for random phi and psi with
+# action literals, zero-probability psi, unknown symbols and bad instants.
+CONDITIONAL_DIGEST = "122984bd8ae35614e750c6ada03812c6d6460d27269062a182cea302ba089b48"
+
+
+def test_conditionals_match_the_sums_over_accepted_worlds(coin, antibiotic, keys):
+    pool, micro = random.Random(20240501), random.Random(4242)
+    domains = [coin, antibiotic, keys] + [random_domain(pool) for _ in range(200)]
+    domains += [micro_domain(micro) for _ in range(50)] + clash_twins(40)
+    rng, lines = random.Random(26), []
+    for dd in domains:
+        sig = dd.signature
+        f = rng.choice(sig.fluents)
+        late, unknown = ILit(f, sig.vals[f][0], sig.maxinst + 1), ILit("Nope", "x", 0)
+        pairs = [(random_iformula(rng, sig), random_iformula(rng, sig)) for _ in range(3)]
+        phi, psi = covering_iformula(rng, sig), covering_iformula(rng, sig)
+        pairs += [(phi, psi), (phi, And(psi, Not(psi))), (And(phi, unknown), psi),
+                  (phi, Or(psi, unknown)), (phi, Or(psi, late)), (late, unknown)]
+        lines += [answer(lambda: conditional(dd, phi, psi)) for phi, psi in pairs]
+    kinds = collections.Counter(line[0] if type(line) is tuple else "value" for line in lines)
+    assert min(kinds.values()) > 20 and len(kinds) == 5, kinds
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == CONDITIONAL_DIGEST
