@@ -91,12 +91,10 @@ def cmd_check(args) -> int:
 def cmd_query(args) -> int:
     dd = _load(args.file)
     phi = parse_query(args.query, dd.signature)
-    if args.given is not None:
-        psi = parse_query(args.given, dd.signature)
-        value = conditional(dd, phi, psi)
-    else:
-        value = marginal(dd, phi)
-    print(fraction_text(value) if args.exact else format_decimal(value, _digits(args)))
+    psi = None if args.given is None else parse_query(args.given, dd.signature)
+    digits = None if args.exact else _digits(args)  # a usage error comes before any inference
+    value = marginal(dd, phi) if psi is None else conditional(dd, phi, psi)
+    print(fraction_text(value) if args.exact else format_decimal(value, digits))
     return EXIT_OK
 
 

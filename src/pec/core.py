@@ -341,18 +341,20 @@ def progression(phi: IFormula, maxinst: int):
     distinct literals by instant, raising RangeError for the leftmost one
     outside ``0..maxinst``; ``step(residual, i, state)`` reads every literal
     of ``at[i]`` in ``state``, then puts their truths in: what is left is a
-    bool or a node with no bool child, memoised per (residual, i, truths)."""
-    at: dict = {}
+    bool or a node with no bool child, kept per (residual, i, truths) in a
+    plain dict for as long as ``step`` lives."""
+    at, memo = {}, {}
     fold(phi, lambda il: at.setdefault(_window(il.instant, maxinst), {}).setdefault(il),
          _NO_VALUE)
 
-    @functools.cache
-    def put(residual, i: int, truths: tuple):
-        values = dict(zip(at[i], truths))
-        return fold(residual, lambda il: values.get(il, il), _PROGRESS)
+    def step(residual, i: int, state):
+        key = residual, i, tuple([_holds(state, il.subject, il.value) for il in at[i]])
+        if key in memo:
+            return memo[key]
+        values = dict(zip(at[i], key[2]))
+        return memo.setdefault(key, fold(residual, lambda il: values.get(il, il), _PROGRESS))
 
-    return at, lambda residual, i, state: put(residual, i, tuple(
-        [_holds(state, il.subject, il.value) for il in at[i]]))
+    return at, step
 
 
 def _branches(pending, ors_last: bool):

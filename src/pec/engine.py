@@ -5,10 +5,11 @@ narrative evaluation of the world times the summed evaluations of its
 traces.  ``_compile`` interns a domain once, for as long as it lives: an
 int id per reached fluent state, and per node (a fluent id under the
 actions occurring) its total state and, from its first step, where it
-can go.  ``marginal`` is one forward pass over the nodes, carrying mass
-per (fluent id, residual of the query) and listing no worlds; enumeration
-walks them depth first, copying a path only where it branches (traces wait
-for their first read); the sampler draws along them; ``tset`` and
+can go, and the compiled form of each query asked (up to ``_QUERIES``).
+``marginal`` is one forward pass over the nodes, carrying mass per (fluent
+id, residual of the query) and listing no worlds; enumeration walks them
+depth first, copying a path only where it branches (traces wait for their
+first read); the sampler draws along them; ``tset`` and
 ``transition_graph`` reach them from a state dict.  ``conditional`` sums the
 enumerated worlds, folding a formula once per tuple of its literal truths;
 ``check_world`` stays an independent brute-force judge of the three
@@ -38,6 +39,7 @@ _TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its _Table)
 # node tuples whose verdict one sample_frequency call keeps: a query over
 # many instants can draw a new tuple nearly every sample
 _VERDICTS = 4096
+_QUERIES = 256  # queries whose compiled form one table keeps
 
 
 class FiniteWorld(Record):
@@ -208,9 +210,10 @@ class _Table:
     of first appearance, or ``((id, (), scale, 1.0),)`` when no rule
     fires; a clash raises at each reach.  ``initial`` lists the initial
     choices alike; ``patterns[i]`` the ``(mask, numerator, denominator)``
-    of each occurrence pattern at instant i.  Ids are assigned under a
-    lock and every other entry is published by one store, so calls may
-    share a table."""
+    of each occurrence pattern at instant i; ``queries`` the compiled form
+    of the first ``_QUERIES`` queries asked.  Ids are assigned under a lock
+    and every other entry is published by one store, so calls may share a
+    table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -218,13 +221,22 @@ class _Table:
         self.bits = {a: 1 << k for k, a in enumerate(sig.actions)}
         self.scale = math.lcm(*(o.weight.denominator for c in (*dd.cprops, dd.iprop)
                                 for o in c.head))
-        self.ids, self.fluents, self.quiet, self.nodes = {}, [], [], []
+        self.ids, self.fluents, self.quiet, self.nodes, self.queries = {}, [], [], [], {}
         self.initial = self.targets({}, dd.iprop.head)
         occurring = defaultdict(list)  # instant -> the occurrences at it
         for p in dd.pprops:
             occurring[p.instant].append(p)
         self.patterns = {i: [(masks.get(i, 0), num, den) for masks, num, den
                              in _narratives(self.bits, ps)] for i, ps in occurring.items()}
+
+    def query(self, phi: IFormula) -> tuple:
+        """Phi compiled once (a RangeError stores nothing): ``progression``'s
+        ``at`` and step, the sorted event instants, and a step memo by node."""
+        if (known := self.queries.get(phi)) is None:
+            at, progress = progression(phi, last := self.rules.signature.maxinst)
+            known = at, progress, sorted({*self.patterns, *at, last}), {}
+            known = self.queries.setdefault(phi, known) if len(self.queries) < _QUERIES else known
+        return known
 
     def fluent_id(self, fluents: Mapping[str, str]) -> int:
         key = tuple([fluents[f] for f in self.names])
@@ -331,15 +343,16 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     so far are put in).  Between events (occurrences, phi's instants and
     ``maxinst``) it steps only while a carried fluent state is not quiet,
     reaching the (total state, instant) pairs enumeration does, earliest
-    first.  It returns the mass on residual True."""
+    first.  It returns the mass on residual True.  The table keeps phi's
+    compiled form, residual steps included, so a repeated call only walks."""
     last, table = dd.signature.maxinst, _compile(dd)
-    at, progress = progression(phi, last)
+    at, progress, events, steps = table.query(phi)
     nodes, quiet, scale = table.nodes, table.quiet, table.scale
     mass: dict = defaultdict(int)
     for g, _, n, _ in table.initial:
         mass[g, phi] += n
     total, i = scale, 0
-    for event in sorted({*table.patterns, *at, last}):
+    for event in events:
         while i <= event:
             if i < event and all(quiet[f] for f, _ in mass):
                 i = event  # nothing occurs, is read or fires before it
@@ -348,7 +361,9 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
             for (f, rest), m in mass.items():
                 for mask, num, _ in patterns:
                     node = nodes[f].get(mask) or table.node(f, mask)
-                    rest_i = progress(rest, i, node[0]) if reads else rest
+                    rest_i = steps.get(key := (rest, i, f, mask)) if reads else rest
+                    if rest_i is None:  # first read of this node at i with this residual
+                        rest_i = steps.setdefault(key, progress(rest, i, node[0]))
                     for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
                             node[1] or table.step(f, node, i):
                         after[g, rest_i] += m * num * n
@@ -369,8 +384,8 @@ def conditional(dd: DomainDescription, phi: IFormula,
     Windows are checked first, phi's first; ``satisfies`` folds psi once per
     tuple of its literals' truths over the enumerated worlds, phi alike where
     psi holds, and the weights add up as integer numerators per denominator."""
-    last, known = dd.signature.maxinst, {}  # (formula, literal truths) -> verdict
-    reads = {f: [(i, il.subject, il.value) for i, lits in progression(f, last)[0].items()
+    table, known = _compile(dd), {}  # (formula, literal truths) -> verdict
+    reads = {f: [(i, il.subject, il.value) for i, lits in table.query(f)[0].items()
                  for il in lits] for f in (phi, psi)}
 
     def holds(f, states) -> bool:

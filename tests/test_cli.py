@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import pec.cli
 from pec.cli import MAX_PRECISION, main
 from conftest import EXAMPLES, GOLDEN, ROOT
 
@@ -231,6 +232,27 @@ class TestQuery:
         with pytest.raises(SystemExit) as err:
             main(["query", COIN, "-q", "[Coin=Heads]@2", "--precision", "-1"])
         assert err.value.code == 1
+
+    # a bad precision is a usage error before any inference is run
+    @pytest.mark.parametrize("given", [[], ["--given", "[Coin=Heads]@0"]])
+    def test_precision_checked_before_inference(self, capsys, monkeypatch, given):
+        calls = []
+        for name in ("marginal", "conditional"):
+            real = getattr(pec.cli, name)
+            monkeypatch.setattr(pec.cli, name, lambda *args, real=real: calls.append(real)
+                                or real(*args))
+        with pytest.raises(SystemExit) as err:
+            main(["query", COIN, "-q", "[Coin=Heads]@2", *given, "--precision", "-1"])
+        assert (err.value.code, calls) == (1, [])
+        assert capsys.readouterr().err == "pec query: error: precision must be non-negative\n"
+        monkeypatch.setenv("PEC_PRECISION", "x")
+        with pytest.raises(SystemExit) as err:
+            main(["query", COIN, "-q", "[Coin=Heads]@2", *given])
+        assert (err.value.code, calls) == (1, [])
+        assert capsys.readouterr().err == (
+            "pec query: error: PEC_PRECISION must be an integer, not 'x'\n")
+        code, out, _ = run(capsys, "query", COIN, "-q", "[Coin=Heads]@2", *given, "--exact")
+        assert (code, out, len(calls)) == (0, "51/100\n", 1)
 
     # format_decimal is quadratic in its digits: a huge precision would spin
     # for minutes, so it is refused as a usage error

@@ -1094,3 +1094,76 @@ def test_conditionals_match_the_sums_over_accepted_worlds(coin, antibiotic, keys
     kinds = collections.Counter(line[0] if type(line) is tuple else "value" for line in lines)
     assert min(kinds.values()) > 20 and len(kinds) == 5, kinds
     assert hashlib.sha256(repr(lines).encode()).hexdigest() == CONDITIONAL_DIGEST
+
+
+@pytest.fixture(scope="module")
+def query_pool(coin, antibiotic, keys):
+    """The 203-domain acceptance pool and the 50 micro domains."""
+    pool, micro = random.Random(20240501), random.Random(4242)
+    return ([coin, antibiotic, keys] + [random_domain(pool) for _ in range(200)]
+            + [micro_domain(micro) for _ in range(50)])
+
+
+# Computed with the engine that compiled a query afresh on every call: it
+# pins every value and every error of the warm-query test below.
+ANSWERS_DIGEST = "b4ac26133814e67176371104a14275afbfda9a9c9fcaa49eefa248d76f6bd94b"
+
+
+class TestCompiledQueries:
+    """A domain's table keeps each query's compiled form, up to _QUERIES."""
+
+    def test_a_warm_query_equals_a_cold_one(self, query_pool, monkeypatch):
+        compiled, progression = [], pec.engine.progression
+        monkeypatch.setattr(pec.engine, "progression",
+                            lambda *args: compiled.append(args) or progression(*args))
+        rng, lines = random.Random(27), []
+        for dd in map(replace, query_pool + clash_twins(40)):  # each copy starts cold
+            sig, table = dd.signature, pec.engine._compile(dd)
+            f = rng.choice(sig.fluents)
+            late, unknown = ILit(f, sig.vals[f][0], sig.maxinst + 1), ILit("Nope", "x", 0)
+            phi, psi = random_iformula(rng, sig), covering_iformula(rng, sig)
+            for q in (phi, psi, Or(phi, late), And(psi, unknown)):
+                first = answer(lambda: marginal(dd, q))
+                compiled.clear()
+                assert answer(lambda: marginal(dd, q)) == first
+                # an out-of-window query is never stored, so it compiles again
+                assert len(compiled) == (first[0] == "RangeError") == (q not in table.queries)
+                assert answer(lambda: marginal(replace(dd), q)) == first
+                lines.append(first)
+            for q, given in ((phi, psi), (psi, phi), (phi, And(psi, unknown)), (late, phi)):
+                first = answer(lambda: conditional(dd, q, given))
+                assert answer(lambda: conditional(dd, q, given)) == first
+                assert answer(lambda: conditional(replace(dd), q, given)) == first
+                lines.append(first)
+        kinds = collections.Counter(line[0] if type(line) is tuple else "value" for line in lines)
+        assert min(kinds.values()) > 20 and len(kinds) == 5, kinds
+        assert hashlib.sha256(repr(lines).encode()).hexdigest() == ANSWERS_DIGEST
+
+    @pytest.mark.parametrize("kept", [pec.engine._QUERIES, 2])
+    def test_the_memo_stays_at_its_limit(self, antibiotic, kept, monkeypatch):
+        monkeypatch.setattr(pec.engine, "_QUERIES", kept)
+        dd, rng, queries = replace(antibiotic), random.Random(28), {}
+        while len(queries) < kept + 20:
+            queries.setdefault(random_iformula(rng, dd.signature))
+        table = pec.engine._compile(dd)
+        for _ in range(2):  # past the limit a query is compiled, answered and dropped
+            for phi in queries:
+                assert marginal(dd, phi) == marginal(replace(dd), phi)
+            assert list(table.queries) == list(queries)[:kept]
+
+
+# P(phi) + P(!phi) = 1 and P(phi | psi) P(psi) = P(phi & psi), each pair
+# asked twice so that the second answer comes from the warm table
+def test_complement_and_product_relations(query_pool):
+    rng = random.Random(29)
+    for dd in query_pool:
+        sig = dd.signature
+        for phi, psi in [(random_iformula(rng, sig), random_iformula(rng, sig)),
+                         (covering_iformula(rng, sig), random_iformula(rng, sig))]:
+            for _ in range(2):
+                assert marginal(dd, phi) + marginal(dd, Not(phi)) == 1
+                if (p_psi := marginal(dd, psi)) == 0:
+                    with pytest.raises(ConditionZero):
+                        conditional(dd, phi, psi)
+                else:
+                    assert conditional(dd, phi, psi) * p_psi == marginal(dd, And(phi, psi))
