@@ -92,7 +92,8 @@ def cmd_query(args) -> int:
     dd = _load(args.file)
     phi = parse_query(args.query, dd.signature)
     psi = None if args.given is None else parse_query(args.given, dd.signature)
-    digits = None if args.exact else _digits(args)  # a usage error comes before any inference
+    # a usage error comes before any inference; --exact reads only an explicit --precision
+    digits = None if args.exact and args.precision is None else _digits(args)
     value = marginal(dd, phi) if psi is None else conditional(dd, phi, psi)
     print(fraction_text(value) if args.exact else format_decimal(value, digits))
     return EXIT_OK

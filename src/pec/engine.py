@@ -9,13 +9,14 @@ can go, and the compiled form of each query asked (up to ``_QUERIES``).
 ``marginal`` is one forward pass over the nodes, carrying mass per (fluent
 id, residual of the query) and listing no worlds; enumeration walks them
 depth first, copying a path only where it branches (traces wait for their
-first read); the sampler draws along them; ``tset`` and
-``transition_graph`` reach them from a state dict.  ``conditional`` sums the
-enumerated worlds, folding a formula once per tuple of its literal truths;
-``check_world`` stays an independent brute-force judge of the three
-well-behavedness conditions, an oracle against the enumerator.  Queries
-check the window up front; the sampler folds the query once per distinct
-tuple of nodes at its instants and leaves the window to ``satisfies``.
+first read); the sampler draws along them, stepping no quiet fluent state
+where nothing occurs; ``tset`` and ``transition_graph`` reach them from a
+state dict.  ``conditional`` sums the enumerated worlds, folding a formula
+once per tuple of its literal truths; ``check_world`` stays an independent
+brute-force judge of the three well-behavedness conditions, an oracle
+against the enumerator.  Queries check the window up front; the sampler
+hands out only the nodes at the query's instants, folds the query once per
+distinct tuple of them and leaves the window to ``satisfies``.
 """
 
 from __future__ import annotations
@@ -491,22 +492,24 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
     """Empirical frequency of ``phi`` over ``count`` sampled worlds.
 
     Phi's truth in a world depends only on its states at phi's instants,
-    and a draw hands out the table's node dicts, which live as long as the
-    table: so ``satisfies`` folds phi once per distinct tuple of nodes at
-    those instants, and later draws through the same nodes reuse its
-    verdict (for the first ``_VERDICTS`` tuples).  Instants outside the
-    window are left out of the tuple, so the first ``satisfies`` reports
-    them, after the first draw."""
+    and a draw hands out just the table's node dicts there, which live as
+    long as the table: so ``satisfies`` folds phi once per distinct tuple
+    of them, and later draws through the same nodes reuse its verdict (for
+    the first ``_VERDICTS`` tuples).  Instants outside the window are not
+    kept, so the first ``satisfies`` reports them, after the first draw."""
     if count <= 0:
         raise ValueError("sample count must be positive")
-    rng, draw, last = random.Random(seed), _sampler(dd), dd.signature.maxinst
-    reads: dict = {}
+    last, reads = dd.signature.maxinst, {}
     fold(phi, lambda il: 0 <= il.instant <= last and reads.setdefault(il.instant), _NO_VALUE)
+    rng, draw, reads = random.Random(seed), _sampler(dd, reads), sorted(reads)
+    states = [None] * (last + 1)  # the nodes of the latest folded draw at phi's instants
     verdicts: dict[tuple, bool] = {}  # node ids at the instants read -> phi's truth
     hits = 0
     for _ in range(count):
-        states = draw(rng)
-        if (verdict := verdicts.get(key := tuple([id(states[i]) for i in reads]))) is None:
+        drawn = draw(rng)
+        if (verdict := verdicts.get(key := tuple(map(id, drawn)))) is None:
+            for i, state in zip(reads, drawn):
+                states[i] = state
             verdict = satisfies(states, phi)
             if len(verdicts) < _VERDICTS:
                 verdicts[key] = verdict
@@ -514,32 +517,47 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
     return Fraction(hits, count)
 
 
-def _sampler(dd: DomainDescription):
-    """``draw(rng)``: the states of one world, each choice a single
-    ``rng.random()`` compared against the ``_cut`` of a probability or
-    running total, which decides as the exact ``Fraction`` would (the last
-    choice when none exceeds it); certain occurrences and single-target
-    steps draw nothing.  A draw walks the domain's nodes and hands out
-    their state dicts, so ``sample_world`` copies."""
+def _sampler(dd: DomainDescription, keep=None):
+    """``draw(rng)``: the states of one world at the instants in ``keep``
+    (all by default), in order, each choice a single ``rng.random()``
+    compared against the ``_cut`` of a probability or running total, which
+    decides as the exact ``Fraction`` would (the last choice when none
+    exceeds it); certain occurrences and single-target steps draw nothing.
+    Where nothing occurs and no rule fires, a draw carries the fluent state
+    on unstepped.  It hands out the nodes' state dicts: ``sample_world`` copies."""
     last, table = dd.signature.maxinst, _compile(dd)
-    nodes = table.nodes
-    occurs = [(table.bits[p.action], p.instant, p.prob == 1, _cut(p.prob)) for p in dd.pprops]
+    nodes, quiet = table.nodes, table.quiet
+    sure, kept = [0] * (last + 1), [keep is None or i in keep for i in range(last + 1)]
+    for p in dd.pprops:
+        sure[p.instant] |= table.bits[p.action] if p.prob == 1 else 0
+    occurs = [(table.bits[p.action], p.instant, _cut(p.prob)) for p in dd.pprops if p.prob != 1]
 
     def draw(rng: random.Random) -> list[dict[str, str]]:
-        on = [0] * (last + 1)
-        for bit, i, sure, cut in occurs:
-            if sure or rng.random() < cut:
+        draw_random, on, states = rng.random, sure[:], []
+        for bit, i, cut in occurs:
+            if draw_random() < cut:
                 on[i] |= bit
-        steps, r, states = table.initial, rng.random(), []
+        r = draw_random()
+        for g, _, _, cut in table.initial:  # the first cut above r, else the last
+            if r < cut:
+                break
         for i, mask in enumerate(on):
-            for g, _, _, cut in steps:  # the first cut above r, else the last
-                if r < cut:
-                    break
+            if not mask and quiet[g]:  # no rule fires: g stays, drawing nothing
+                if kept[i]:
+                    states.append(nodes[g][0][0])
+                continue
             node = nodes[g].get(mask) or table.node(g, mask)
-            states.append(node[0])
+            if kept[i]:
+                states.append(node[0])
             if i < last:
                 steps = node[1] or table.step(g, node, i)
-                r = rng.random() if len(steps) > 1 else 0.0
+                if len(steps) > 1:
+                    r = draw_random()
+                    for g, _, _, cut in steps:
+                        if r < cut:
+                            break
+                else:
+                    g = steps[0][0]
         return states
 
     return draw

@@ -254,6 +254,24 @@ class TestQuery:
         code, out, _ = run(capsys, "query", COIN, "-q", "[Coin=Heads]@2", *given, "--exact")
         assert (code, out, len(calls)) == (0, "51/100\n", 1)
 
+    # --exact prints no digits, but an explicit bad --precision is still a
+    # usage error before any inference; PEC_PRECISION stays unread
+    @pytest.mark.parametrize("precision, message", [
+        ("-1", "precision must be non-negative"),
+        (str(MAX_PRECISION + 1), f"precision must be at most {MAX_PRECISION}")])
+    def test_explicit_precision_checked_when_exact(self, capsys, monkeypatch, precision, message):
+        calls = []
+        real = pec.cli.marginal
+        monkeypatch.setattr(pec.cli, "marginal", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(SystemExit) as err:
+            main(["query", COIN, "-q", "[Coin=Heads]@2", "--exact", "--precision", precision])
+        assert (err.value.code, calls) == (1, [])
+        assert capsys.readouterr().err == f"pec query: error: {message}\n"
+        monkeypatch.setenv("PEC_PRECISION", "x")
+        for flag in ([], ["--precision", "3"]):
+            code, out, _ = run(capsys, "query", COIN, "-q", "[Coin=Heads]@2", "--exact", *flag)
+            assert (code, out) == (0, "51/100\n")
+
     # format_decimal is quadratic in its digits: a huge precision would spin
     # for minutes, so it is refused as a usage error
     @pytest.mark.parametrize("setting", ["flag", "env"])

@@ -885,6 +885,19 @@ class TestSampling:
         assert sample_frequency(coin, phi, 10000, 7) == expected
         assert 1 <= len(calls) <= 2  # coin reaches instant 2 as Heads or as Tails
 
+    # with nothing occurring and no rule able to fire, a draw carries the
+    # fluent state forward without stepping its node
+    def test_a_quiet_instant_costs_no_step(self, monkeypatch):
+        dd = load_domain("coin.pec")  # its table starts cold
+        stepped, step = [], pec.engine._Table.step
+        monkeypatch.setattr(pec.engine._Table, "step", lambda table, fid, node, i: (
+            stepped.append((table, fid, node)) or step(table, fid, node, i)))
+        phi = parse_query("[Coin=Heads]@2", dd.signature)
+        assert sample_frequency(dd, phi, 1000, 7) == Fraction(524, 1000)
+        assert stepped  # the toss at instant 1
+        assert [fid for table, fid, node in stepped
+                if table.quiet[fid] and node is table.nodes[fid][0]] == []
+
     # the sampler's float cuts are exact only because random() draws from
     # the lattice k / 2**53; a Python whose random() left it would fail here
     def test_random_draws_lie_on_the_lattice(self):
@@ -1167,3 +1180,41 @@ def test_complement_and_product_relations(query_pool):
                         conditional(dd, phi, psi)
                 else:
                     assert conditional(dd, phi, psi) * p_psi == marginal(dd, And(phi, psi))
+
+
+def firing_domains(rng, count, **bounds):
+    """Random domains with rules, each body cut to its fluent literal, so
+    a rule fires with nothing occurring and not every fluent state is quiet."""
+    found = []
+    while len(found) < count:
+        if (dd := random_domain(rng, **bounds)).cprops:
+            found.append(replace(dd, cprops=tuple(replace(c, body=c.body.right)
+                                                  for c in dd.cprops)))
+    return found
+
+
+# Computed with the sampler that stepped every instant of every draw and
+# recorded every state: it pins each seeded world and frequency, and each
+# error (a clash, a bad instant, an unknown subject) with the draw it follows.
+SAMPLES_DIGEST = "93ce78699a4c48b75eabd37ef1b0ab08ab92dc5e51db2e485366d400a0690817"
+
+
+def test_samples_match_the_walk_of_every_instant(walk_pool):
+    rng = random.Random(30)
+    long = {"max_maxinst": 30, "max_pprops": 5}
+    firing = firing_domains(rng, 40) + firing_domains(rng, 40, **long)
+    pool = walk_pool + clash_twins(40) + [random_domain(rng, **long) for _ in range(40)] + firing
+    lines = []
+    for dd in pool:
+        sig = dd.signature
+        f = rng.choice(sig.fluents)
+        late, unknown = ILit(f, sig.vals[f][0], sig.maxinst + 1), ILit("Nope", "x", 0)
+        lines += [answer(lambda: sample_world(dd, seed).key()) for seed in range(5)]
+        single = at_instant(random_formula(rng, sig), rng.randint(0, sig.maxinst))
+        for phi in (single, random_iformula(rng, sig), Or(single, late), And(unknown, single)):
+            seed = rng.randrange(2**31)
+            lines.append(answer(lambda: sample_frequency(dd, phi, 200, seed)))
+    kinds = collections.Counter(line[0] if type(line) is tuple else "value" for line in lines)
+    assert min(kinds.values()) > 20 and len(kinds) == 4, kinds
+    assert sum(not all(pec.engine._compile(dd).quiet) for dd in firing) > 40
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == SAMPLES_DIGEST
