@@ -7,7 +7,8 @@ int id per reached fluent state, and per node (a fluent id under the
 actions occurring) its total state and, from its first step, where it
 can go, and the compiled form of each query asked (up to ``_QUERIES``).
 ``marginal`` is one forward pass over the nodes, carrying mass per (fluent
-id, residual of the query) and listing no worlds; enumeration walks them
+id, residual of the query) and listing no worlds, through rows summed once
+per key and instant and shared by idle instants; enumeration walks them
 depth first, copying a path only where it branches (traces wait for their
 first read); the sampler draws along them, stepping no quiet fluent state
 where nothing occurs; ``tset`` and ``transition_graph`` reach them from a
@@ -211,10 +212,11 @@ class _Table:
     of first appearance, or ``((id, (), scale, 1.0),)`` when no rule
     fires; a clash raises at each reach.  ``initial`` lists the initial
     choices alike; ``patterns[i]`` the ``(mask, numerator, denominator)``
-    of each occurrence pattern at instant i; ``queries`` the compiled form
-    of the first ``_QUERIES`` queries asked.  Ids are assigned under a lock
-    and every other entry is published by one store, so calls may share a
-    table."""
+    of each occurrence pattern at instant i, one tuple for equal lists
+    (``none`` where nothing occurs); ``events`` their instants and
+    ``maxinst``; ``queries`` the compiled form of the first ``_QUERIES``
+    queries asked.  Ids are assigned under a lock and every other entry is
+    published by one store, so calls may share a table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -227,15 +229,21 @@ class _Table:
         occurring = defaultdict(list)  # instant -> the occurrences at it
         for p in dd.pprops:
             occurring[p.instant].append(p)
-        self.patterns = {i: [(masks.get(i, 0), num, den) for masks, num, den
-                             in _narratives(self.bits, ps)] for i, ps in occurring.items()}
+        self.none, self.patterns = ((0, 1, 1),), {}  # the pattern list of no occurrence
+        lists = {self.none: self.none}  # equal pattern lists are one tuple
+        for i, ps in occurring.items():
+            ps = tuple([(masks.get(i, 0), num, den) for masks, num, den in _narratives(self.bits, ps)])
+            self.patterns[i] = lists.setdefault(ps, ps)
+        self.events = sorted({*self.patterns, sig.maxinst})
 
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
-        ``at`` and step, the sorted event instants, and a step memo by node."""
+        ``at`` and step, the sorted event instants, and the rows of the
+        forward pass, by slot and then by key (see ``marginal``)."""
         if (known := self.queries.get(phi)) is None:
             at, progress = progression(phi, last := self.rules.signature.maxinst)
-            known = at, progress, sorted({*self.patterns, *at, last}), {}
+            extra = at.keys() - self.patterns.keys() - {last}  # instants only phi adds
+            known = at, progress, sorted({*self.events, *extra}) if extra else self.events, {}
             known = self.queries.setdefault(phi, known) if len(self.queries) < _QUERIES else known
         return known
 
@@ -340,35 +348,42 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     """Probability of an instant-stamped formula, by one exact forward pass
     (the forward algorithm of hidden Markov models): a world's weight is a
     product over instants, so the mass of the worlds alike so far is one
-    integer per (fluent id, residual: what is left of phi once its literals
-    so far are put in).  Between events (occurrences, phi's instants and
-    ``maxinst``) it steps only while a carried fluent state is not quiet,
-    reaching the (total state, instant) pairs enumeration does, earliest
-    first.  It returns the mass on residual True.  The table keeps phi's
-    compiled form, residual steps included, so a repeated call only walks."""
+    integer per key (fluent id, residual: what is left of phi once its
+    literals so far are put in).  Between events (occurrences, phi's
+    instants and ``maxinst``) it steps only while a carried fluent state is
+    not quiet, reaching the (total state, instant) pairs enumeration does,
+    earliest first.  It returns the mass on residual True.  A key's row (its
+    next keys, weights summed over patterns and targets, and whether all
+    their fluent states are quiet) is built on first reach, a clash storing
+    nothing, and kept by slot: the instant where phi reads and at
+    ``maxinst``, else the interned pattern list, so idle instants share one
+    row per key.  A repeated call only sums rows."""
     last, table = dd.signature.maxinst, _compile(dd)
-    at, progress, events, steps = table.query(phi)
-    nodes, quiet, scale = table.nodes, table.quiet, table.scale
-    mass: dict = defaultdict(int)
-    for g, _, n, _ in table.initial:
-        mass[g, phi] += n
-    total, i = scale, 0
+    at, progress, events, rows = table.query(phi)
+    nodes, quiet = table.nodes, table.quiet
+    mass = {(g, phi): n for g, _, n, _ in table.initial}
+    calm, total, i = all(quiet[g] for g, _ in mass), table.scale, 0
     for event in events:
         while i <= event:
-            if i < event and all(quiet[f] for f, _ in mass):
+            if i < event and calm:
                 i = event  # nothing occurs, is read or fires before it
-            patterns = table.patterns.get(i) or [(0, 1, 1)]  # no occurrence at i
-            reads, after = i in at, defaultdict(int)
-            for (f, rest), m in mass.items():
-                for mask, num, _ in patterns:
-                    node = nodes[f].get(mask) or table.node(f, mask)
-                    rest_i = steps.get(key := (rest, i, f, mask)) if reads else rest
-                    if rest_i is None:  # first read of this node at i with this residual
-                        rest_i = steps.setdefault(key, progress(rest, i, node[0]))
-                    for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
-                            node[1] or table.step(f, node, i):
-                        after[g, rest_i] += m * num * n
-            total *= patterns[0][2] * (scale if i < last else 1)
+            patterns, reads = table.patterns.get(i, table.none), i in at
+            slot = i if reads or i == last else patterns
+            memo, after, calm = rows.get(slot) or rows.setdefault(slot, {}), {}, True
+            for key, m in mass.items():
+                if (row := memo.get(key)) is None:  # first reach of this key in this slot
+                    (f, rest), sums = key, defaultdict(int)
+                    for mask, num, _ in patterns:
+                        node = nodes[f].get(mask) or table.node(f, mask)
+                        rest_i = progress(rest, i, node[0]) if reads else rest
+                        for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
+                                node[1] or table.step(f, node, i):
+                            sums[g, rest_i] += num * n
+                    row = memo.setdefault(key, (tuple(sums.items()), all(quiet[g] for g, _ in sums)))
+                for nxt, w in row[0]:
+                    after[nxt] = after.get(nxt, 0) + m * w
+                calm = calm and row[1]
+            total *= patterns[0][2] * (table.scale if i < last else 1)
             mass, i = after, i + 1
     return Fraction(sum(m for (_, rest), m in mass.items() if rest is True), total)
 

@@ -1182,6 +1182,112 @@ def test_complement_and_product_relations(query_pool):
                     assert conditional(dd, phi, psi) * p_psi == marginal(dd, And(phi, psi))
 
 
+def rows_of(table):
+    """How many rows the forward pass keeps over all of a table's queries."""
+    return sum(len(memo) for *_, rows in table.queries.values() for memo in rows.values())
+
+
+class TestRows:
+    """The forward pass sums each (fluent state, residual) key's row once
+    per slot, and a warm marginal only adds rows up."""
+
+    def test_a_warm_marginal_steps_nothing(self, query_pool, monkeypatch):
+        calls, progression = collections.Counter(), pec.engine.progression
+
+        def counted(name, fn):
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        def counted_progression(phi, maxinst):
+            at, step = progression(phi, maxinst)
+            return at, counted("progress", step)
+
+        monkeypatch.setattr(pec.engine, "progression", counted_progression)
+        for name in ("step", "node"):
+            monkeypatch.setattr(pec.engine._Table, name, counted(name, getattr(pec.engine._Table, name)))
+        rng, cold = random.Random(32), collections.Counter()
+        for dd in map(replace, query_pool):  # each copy starts cold
+            sig = dd.signature
+            for phi in (random_iformula(rng, sig), covering_iformula(rng, sig)):
+                first = marginal(dd, phi)
+                cold += calls
+                calls.clear()
+                assert marginal(dd, phi) == first
+                assert calls == {}, calls
+        assert min(cold["step"], cold["node"], cold["progress"]) > 200, cold
+
+    def test_a_clash_raises_at_each_call_and_stores_no_row(self, monkeypatch):
+        steps, step = [], pec.engine._Table.step
+
+        def recorded(table, fid, node, i):
+            steps.append("raised")
+            node = step(table, fid, node, i)
+            steps[-1] = "stepped"
+            return node
+
+        monkeypatch.setattr(pec.engine._Table, "step", recorded)
+        rng, clashes = random.Random(33), 0
+        for dd in clash_twins(40):
+            sig, table = dd.signature, pec.engine._compile(dd)
+            phi = covering_iformula(rng, sig)
+            first = outcome(lambda: marginal(dd, phi))
+            if type(first) is not tuple:
+                continue
+            clashes, rows = clashes + 1, rows_of(table)
+            for _ in range(2):
+                steps.clear()
+                assert outcome(lambda: marginal(dd, phi)) == first
+                # every row before the clash is warm; the clashing one was
+                # never stored, so it is built again and raises again
+                assert steps == ["raised"] and rows_of(table) == rows
+        assert clashes > 5
+
+    def test_rows_do_not_grow_with_the_window(self):
+        counts = []
+        for n in (500, 2000):
+            dd = parse_domain(
+                f"maxinst {n}\nfluent F takes-values {{a, b}}\naction A\n"
+                "initially-one-of {({F=a}, 1)}\nA causes-one-of {({F=b}, 1/2), ({F=a}, 1/2)}\n"
+                + "".join(f"A performed-at {i} with-prob 1/2\n" for i in range(n)))
+            for q in ("[F=a]@10", "[F=b]@5 & [F=a]@400", f"[F=a]@0 | [F=b]@{n}"):
+                assert 0 < marginal(dd, parse_query(q, dd.signature)) <= 1
+            counts.append(rows_of(pec.engine._compile(dd)))
+        assert counts[0] == counts[1] < 40
+
+
+# Metamorphic relations: a change to a domain that cannot change its answers
+# leaves every answer equal, each query asked twice so that warm rows are
+# judged too.
+def test_an_idle_tail_changes_no_answer(query_pool):
+    rng, compared = random.Random(34), collections.Counter()
+    # both rules fire at maxinst, which the pass never steps from
+    late = replace(CLASH, pprops=(PProp("A1", 2, Fraction(1)), PProp("A2", 2, Fraction(1, 2))))
+    for dd in query_pool + clash_twins(40) + [late]:
+        sig = dd.signature
+        longer = replace(dd, signature=replace(sig, maxinst=sig.maxinst + 1))
+        for phi in (random_iformula(rng, sig), covering_iformula(rng, sig)):
+            for _ in range(2):
+                before, after = answer(lambda: marginal(dd, phi)), answer(lambda: marginal(longer, phi))
+                # a clash at the old maxinst becomes reachable in the longer window
+                if type(before) is not tuple and type(after) is not tuple:
+                    assert after == before
+                compared[type(before) is tuple, type(after) is tuple] += 1
+    assert compared[False, False] > 800 and compared[False, True] > 0, compared
+    assert compared[True, False] == 0  # a clash in the old window stays
+
+
+def test_a_redundant_body_changes_no_answer(query_pool):
+    rng, kinds = random.Random(35), collections.Counter()
+    for k, dd in enumerate(query_pool + clash_twins(40)):
+        redundant = (lambda b: And(b, b)) if k % 2 else (lambda b: Not(Not(b)))
+        twin = replace(dd, cprops=tuple(replace(c, body=redundant(c.body)) for c in dd.cprops))
+        for phi in (random_iformula(rng, dd.signature), covering_iformula(rng, dd.signature)):
+            for _ in range(2):
+                first = outcome(lambda: marginal(dd, phi))
+                assert outcome(lambda: marginal(twin, phi)) == first
+                kinds[type(first) is tuple] += 1
+    assert kinds[False] > 400 and kinds[True] > 10, kinds
+
+
 def firing_domains(rng, count, **bounds):
     """Random domains with rules, each body cut to its fluent literal, so
     a rule fires with nothing occurring and not every fluent state is quiet."""
