@@ -80,7 +80,8 @@ class Record:
     first, with defaults as class attributes.  Each subclass gets an
     ``__init__`` taking them in that order, then running its own
     ``__post_init__`` if any; ``==``, ``hash``, ``repr`` and ``match`` read
-    them in the same order, as with a frozen dataclass."""
+    them in the same order, as with a frozen dataclass.  ``pickle`` and
+    ``copy`` take the fields only: what an instance caches starts afresh."""
 
     _fields: tuple = ()
 
@@ -102,6 +103,9 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, n) for n in self._fields])
 
+    def __getstate__(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
@@ -120,7 +124,7 @@ class Record:
 
 def replace(record: Record, **changes) -> Record:
     """A copy of ``record`` with ``changes``, rebuilt through its ``__init__``."""
-    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+    return type(record)(**{**record.__getstate__(), **changes})
 
 
 class DomainSignature(Record):
@@ -341,18 +345,15 @@ def progression(phi: IFormula, maxinst: int):
     distinct literals by instant, raising RangeError for the leftmost one
     outside ``0..maxinst``; ``step(residual, i, state)`` reads every literal
     of ``at[i]`` in ``state``, then puts their truths in: what is left is a
-    bool or a node with no bool child, kept per (residual, i, truths) in a
-    plain dict for as long as ``step`` lives."""
-    at, memo = {}, {}
+    bool or an interned node with no bool child.  It keeps nothing: the
+    forward pass keeps each step it takes in the query's rows."""
+    at = {}
     fold(phi, lambda il: at.setdefault(_window(il.instant, maxinst), {}).setdefault(il),
          _NO_VALUE)
 
     def step(residual, i: int, state):
-        key = residual, i, tuple([_holds(state, il.subject, il.value) for il in at[i]])
-        if key in memo:
-            return memo[key]
-        values = dict(zip(at[i], key[2]))
-        return memo.setdefault(key, fold(residual, lambda il: values.get(il, il), _PROGRESS))
+        values = {il: _holds(state, il.subject, il.value) for il in at[i]}
+        return fold(residual, lambda il: values.get(il, il), _PROGRESS)
 
     return at, step
 

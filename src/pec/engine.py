@@ -2,7 +2,7 @@
 
 The model of a domain assigns each well-behaved world a weight: the
 narrative evaluation of the world times the summed evaluations of its
-traces.  ``_compile`` interns a domain once, for as long as it lives: an
+traces.  ``_compile`` interns a domain once and keeps it on the domain: an
 int id per reached fluent state, and per node (a fluent id under the
 actions occurring) its total state and, from its first step, where it
 can go, and the compiled form of each query asked (up to ``_QUERIES``).
@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import random
-import weakref
 from _thread import allocate_lock
 from collections import defaultdict
 from collections.abc import Mapping
@@ -37,7 +36,6 @@ from .core import (_NO_VALUE, ConcurrentActivation, ConditionZero, DomainSignatu
                    progression, replace, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
-_TABLES: dict[int, tuple] = {}  # id(dd) -> (weakref to dd, its _Table)
 # node tuples whose verdict one sample_frequency call keeps: a query over
 # many instants can draw a new tuple nearly every sample
 _VERDICTS = 4096
@@ -191,13 +189,9 @@ def _narratives(bits: Mapping[str, int], pprops):
 
 
 def _compile(dd: DomainDescription) -> _Table:
-    """The node table of a domain, built once and kept while it lives."""
-    if (known := _TABLES.get(id(dd))) is None or known[0]() is not dd:
-        # from a copy, so dd is not kept alive; calls that miss at once share one
-        entry = weakref.ref(dd, lambda _, k=id(dd): _TABLES.pop(k, None)), _Table(replace(dd))
-        if (known := _TABLES.setdefault(id(dd), entry))[0]() is not dd:
-            known = _TABLES[id(dd)] = entry  # the entry of a dead domain
-    return known[1]
+    """The node table of a domain, built from a copy (so it dies with the
+    domain) and kept in its ``__dict__``: racing cold calls share one."""
+    return dd.__dict__.get("_table") or dd.__dict__.setdefault("_table", _Table(replace(dd)))
 
 
 class _Table:
@@ -215,8 +209,9 @@ class _Table:
     of each occurrence pattern at instant i, one tuple for equal lists
     (``none`` where nothing occurs); ``events`` their instants and
     ``maxinst``; ``queries`` the compiled form of the first ``_QUERIES``
-    queries asked.  Ids are assigned under a lock and every other entry is
-    published by one store, so calls may share a table."""
+    queries asked.  It is kept on its domain and reads a copy of it.  Ids
+    are assigned under a lock and every other entry is published by one
+    store, so calls may share a table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -239,7 +234,7 @@ class _Table:
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
         ``at`` and step, the sorted event instants, and the rows of the
-        forward pass, by slot and then by key (see ``marginal``)."""
+        forward pass by slot and key (see ``marginal``), its steps' only memo."""
         if (known := self.queries.get(phi)) is None:
             at, progress = progression(phi, last := self.rules.signature.maxinst)
             extra = at.keys() - self.patterns.keys() - {last}  # instants only phi adds

@@ -120,6 +120,60 @@ def alternating(phi, other, depth):
     return nest
 
 
+class OracleClash(Exception):
+    """Two rule bodies hold in states reached at ``instant``, listed in
+    ``states`` (each a sorted tuple of symbol-value pairs)."""
+
+    def __init__(self, instant, states):
+        super().__init__(instant, states)
+        self.instant, self.states = instant, states
+
+
+def forward_marginal(dd, phi) -> Fraction:
+    """P(phi) by a forward recurrence of its own over (fluent tuple,
+    bitmask of the truths of phi's distinct literals read so far), with
+    rule bodies and phi judged by ``table_eval``: no step table, no
+    progression and no ``fold``.  Each instant takes every occurrence
+    pattern (P of the actions performed times 1-P of the rest), puts in
+    the literals it reads, and below ``maxinst`` moves by the one rule
+    whose body holds, or stays; raises OracleClash at the earliest instant
+    below ``maxinst`` where two bodies hold in a reached state."""
+    sig = dd.signature
+    lits = table_atoms(phi)
+    bodies = [(c, table_atoms(c.body)) for c in dd.cprops]
+    mass = {}
+    for o in dd.iprop.head:
+        key = tuple(o.effect[f] for f in sig.fluents), 0
+        mass[key] = mass.get(key, 0) + o.weight
+    for i in sig.instants:
+        patterns = [({}, Fraction(1))]
+        for p in (p for p in dd.pprops if p.instant == i):
+            patterns = [({**on, p.action: occurs}, w * (p.prob if occurs else 1 - p.prob))
+                        for on, w in patterns for occurs in (True, False)]
+        after, clashes = {}, set()
+        for (fluents, read), m in mass.items():
+            for on, w in patterns:
+                if w == 0:
+                    continue
+                state = dict(zip(sig.fluents, fluents))
+                state.update((a, TRUE if on.get(a) else FALSE) for a in sig.actions)
+                read_i = read | sum(1 << k for k, lit in enumerate(lits)
+                                    if lit.instant == i and state[lit.subject] == lit.value)
+                fired = [c for c, atoms in bodies if table_eval(
+                    c.body, {lit: state[lit.subject] == lit.value for lit in atoms})]
+                if i < sig.maxinst and len(fired) > 1:
+                    clashes.add(tuple(sorted(state.items())))
+                moves = fired[0].head if i < sig.maxinst and fired else [Outcome({}, Fraction(1))]
+                for o in moves:
+                    key = tuple(o.effect.get(f, v) for f, v in zip(sig.fluents, fluents)), read_i
+                    after[key] = after.get(key, 0) + m * w * o.weight
+        if clashes:
+            raise OracleClash(i, clashes)
+        mass = after
+    return sum((m for (_, read), m in mass.items() if table_eval(
+        phi, {lit: bool(read >> k & 1) for k, lit in enumerate(lits)})), Fraction(0))
+
+
 def all_worlds(sig: DomainSignature):
     """Every world over the window: all state sequences, exhaustively."""
     states = [dict(zip(sig.symbols, combo))

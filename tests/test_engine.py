@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import copy
 import functools
 import gc
 import hashlib
@@ -27,6 +28,7 @@ from pec import (
     FiniteWorld,
     HProposition,
     ILit,
+    IProp,
     Lit,
     Not,
     Or,
@@ -37,6 +39,7 @@ from pec import (
     SignatureError,
     TRUE,
     Trace,
+    VProp,
     activated_cprop,
     at_instant,
     check_world,
@@ -60,11 +63,11 @@ from pec import (
     update,
 )
 from pec.core import satisfies
-from pec.engine import _TABLES, _cut, _sampler
+from pec.engine import _cut, _sampler
 from conftest import load_domain
-from helpers import (all_worlds, alternating, canonical_trace, covering_iformula,
-                     micro_domain, random_domain, random_formula, random_iformula,
-                     reference_sample)
+from helpers import (OracleClash, all_worlds, alternating, canonical_trace, covering_iformula,
+                     forward_marginal, micro_domain, random_domain, random_formula,
+                     random_iformula, reference_sample)
 
 
 # two rules fire together wherever both actions occur
@@ -251,9 +254,9 @@ class TestEnumerate:
             assert worlds == read
             for w, w2, expected in zip(worlds, read, traces):
                 for twin in (w, w2):
-                    for copy in (pickle.loads(pickle.dumps(twin)), replace(twin)):
-                        assert copy == w
-                        assert copy.traces == expected
+                    for again in (pickle.loads(pickle.dumps(twin)), replace(twin)):
+                        assert again == w
+                        assert again.traces == expected
                 with pytest.raises(TypeError, match="unhashable type: 'dict'"):
                     hash(w)  # outcome effects are dicts, as they were in the traces
                 assert replace(w, weight=w.weight / 2) != w
@@ -961,12 +964,34 @@ class TestStepTable:
         conditional(dd, phi, phi)
         sample_frequency(dd, phi, 10, 1)
         transition_graph(dd)
-        key, ref = id(dd), weakref.ref(dd)
-        assert key in _TABLES
+        ref, table = weakref.ref(dd), weakref.ref(pec.engine._compile(dd))
         del dd
         gc.collect()
         assert ref() is None
-        assert key not in _TABLES
+        assert table() is None  # the table dies with its domain
+
+    @pytest.mark.parametrize("name", ["coin.pec", "antibiotic.pec", "keys.pec"])
+    def test_pickled_and_copied_domains_start_cold(self, name):
+        dd = load_domain(name)
+        f = dd.signature.fluents[-1]
+        phi = ILit(f, dd.signature.vals[f][0], dd.signature.maxinst)
+        psi = ILit(f, dd.signature.vals[f][-1], 1)
+        calls = [lambda d: marginal(d, phi), lambda d: conditional(d, phi, psi),
+                 lambda d: sample_frequency(d, phi, 50, 3), transition_graph]
+        expected = [answer(lambda: call(dd)) for call in calls]  # fills dd's table
+        table = pec.engine._compile(dd)
+        assert table.queries and len(table.fluents) > 1
+        twins = [pickle.loads(pickle.dumps(dd, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+        for again in twins + [copy.copy(dd), copy.deepcopy(dd)]:
+            assert again == dd and again is not dd
+            assert [answer(lambda: call(again)) for call in calls] == expected
+            assert pec.engine._compile(again) is not table
+            assert pec.engine._compile(dd) is table
+        for w in enumerate_worlds(dd):
+            traces = w.traces
+            for again in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+                assert "traces" not in again.__dict__  # built again on first read
+                assert again == w and again.traces == traces
 
     def test_warm_table_activates_nothing(self, monkeypatch):
         dd = load_domain("antibiotic.pec")
@@ -1286,6 +1311,106 @@ def test_a_redundant_body_changes_no_answer(query_pool):
                 assert outcome(lambda: marginal(twin, phi)) == first
                 kinds[type(first) is tuple] += 1
     assert kinds[False] > 400 and kinds[True] > 10, kinds
+
+
+def verdict(call):
+    """What a call returns, or the kind and instant of its error: a clash
+    message prints the whole state, which a dead symbol changes."""
+    try:
+        return repr(call())
+    except PecError as exc:
+        return type(exc).__name__, getattr(exc, "instant", None)
+
+
+def with_dead_symbols(rng, dd):
+    """``dd`` plus a fluent that no body or query reads, written in every
+    initial outcome and in about half the rule outcomes, and two actions
+    that no body reads, each occurring with probability 1/2 or 1/3 at up
+    to two instants.  The new symbols come first in the signature."""
+    sig, values, idle = dd.signature, ("d0", "d1", "d2"), ("Idle1", "Idle2")
+
+    def write(o, always=False):
+        return Outcome({**o.effect, "Dead": rng.choice(values)}, o.weight) \
+            if always or rng.random() < 0.5 else o
+
+    occurs = tuple(PProp(a, i, rng.choice((Fraction(1, 2), Fraction(1, 3)))) for a in idle
+                   for i in rng.sample(range(sig.maxinst), min(2, sig.maxinst)))
+    signature = replace(sig, fluents=("Dead",) + sig.fluents, actions=idle + sig.actions,
+                        vals={"Dead": values, **sig.vals})
+    return replace(dd, signature=signature, vprops=(VProp("Dead", values),) + dd.vprops,
+                   cprops=tuple(replace(c, head=tuple(map(write, c.head))) for c in dd.cprops),
+                   pprops=occurs + dd.pprops,
+                   iprop=IProp(tuple(write(o, True) for o in dd.iprop.head)))
+
+
+def test_a_dead_symbol_changes_no_answer(query_pool):
+    rng, kinds = random.Random(36), collections.Counter()
+    for dd in query_pool + clash_twins(40):
+        twin = with_dead_symbols(rng, dd)
+        for phi in (random_iformula(rng, dd.signature), covering_iformula(rng, dd.signature)):
+            for _ in range(2):
+                first = verdict(lambda: marginal(dd, phi))
+                assert verdict(lambda: marginal(twin, phi)) == first
+                kinds[type(first) is tuple] += 1
+    assert kinds[False] > 400 and kinds[True] > 10, kinds
+
+
+def test_a_split_outcome_changes_no_answer(query_pool):
+    rng, kinds = random.Random(37), collections.Counter()
+
+    def split(head):  # duplicate effects: validation would refuse them, replace does not
+        k = rng.randrange(len(head))
+        half = Outcome(head[k].effect, head[k].weight / 2)
+        return head[:k] + (half, half) + head[k + 1:]
+
+    for dd in query_pool + clash_twins(40):
+        twin = replace(dd, cprops=tuple(replace(c, head=split(c.head)) for c in dd.cprops),
+                       iprop=IProp(split(dd.iprop.head)))
+        for phi in (random_iformula(rng, dd.signature), covering_iformula(rng, dd.signature)):
+            for _ in range(2):
+                first = outcome(lambda: marginal(dd, phi))
+                assert outcome(lambda: marginal(twin, phi)) == first
+                kinds[type(first) is tuple] += 1
+    assert kinds[False] > 400 and kinds[True] > 10, kinds
+
+
+def rich_domain(rng):
+    """A random domain whose rule bodies are drawn with ``!``, ``|`` and
+    ``->`` over every symbol, most behind an action literal, so some fire
+    with nothing occurring and some states activate two rules."""
+    dd = random_domain(rng, max_values=4, max_maxinst=5, max_cprops=3, max_pprops=5)
+    sig = dd.signature
+
+    def body():
+        drawn = random_formula(rng, sig, 2)
+        return And(Lit(rng.choice(sig.actions), TRUE), drawn) if rng.random() < 0.7 else drawn
+
+    return replace(dd, cprops=tuple(replace(c, body=body()) for c in dd.cprops))
+
+
+def test_marginal_equals_a_forward_recurrence_without_the_table():
+    rng, kinds, seen = random.Random(38), collections.Counter(), collections.Counter()
+    for _ in range(400):
+        dd = rich_domain(rng)
+        sig = dd.signature
+        for c in dd.cprops:
+            seen.update(type(n).__name__ for n in (c.body, getattr(c.body, "right", None)))
+        seen["uncertain"] += any(p.prob < 1 for p in dd.pprops)
+        seen["many values"] += max(map(len, sig.vals.values())) > 2
+        for phi in (random_iformula(rng, sig), covering_iformula(rng, sig)):
+            try:
+                expected = forward_marginal(dd, phi)
+            except OracleClash as clash:
+                with pytest.raises(ConcurrentActivation) as err:
+                    marginal(dd, phi)
+                assert err.value.instant == clash.instant
+                assert tuple(sorted(err.value.state.items())) in clash.states
+                kinds["clash"] += 1
+            else:
+                assert marginal(dd, phi) == expected
+                kinds["value"] += 1
+    assert min(kinds["value"], kinds["clash"]) > 20, kinds
+    assert min(seen[k] for k in ("Not", "Or", "Implies", "uncertain", "many values")) > 20, seen
 
 
 def firing_domains(rng, count, **bounds):
