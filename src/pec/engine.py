@@ -9,10 +9,11 @@ can go, and the compiled form of each query asked (up to ``_QUERIES``).
 ``marginal`` is one forward pass over the nodes, carrying mass per (fluent
 id, residual of the query) and listing no worlds, through rows summed once
 per key and instant and shared by idle instants; enumeration walks them
-depth first, copying a path only where it branches (traces wait for their
-first read); the sampler draws along them, stepping no quiet fluent state
-where nothing occurs; ``tset`` and ``transition_graph`` reach them from a
-state dict.  ``conditional`` sums the enumerated worlds, folding a formula
+depth first, copying a path only where it branches (a world's fields and
+traces wait for their first read); the sampler draws along them, stepping
+no quiet fluent state where nothing occurs; ``tset`` and
+``transition_graph`` reach them from a state dict.  ``conditional`` sums
+the enumerated worlds' raw paths and integer weights, folding a formula
 once per tuple of its literal truths; ``check_world`` stays an independent
 brute-force judge of the three well-behavedness conditions, an oracle
 against the enumerator.  Queries check the window up front; the sampler
@@ -75,9 +76,20 @@ def trace_eval(tr: Trace) -> Fraction:
 
 
 class WeightedWorld(Record):
+    """A world, its weight and its outcome groups.  An enumerated one keeps
+    the walk's raw path (``_raw``) and builds each field on its first read."""
+
     world: FiniteWorld
     weight: Fraction
     choices: tuple  # (instants fired, (initial outcome group, one group per fired instant))
+
+    def __getattr__(self, name):  # only reached while a field is unbuilt
+        if name not in WeightedWorld._fields or "_raw" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        sig, states, num, den, fired, outs = self._raw
+        value = (FiniteWorld(sig, tuple(map(dict, states))) if name == "world" else
+                 Fraction(num, den) if name == "weight" else (tuple(fired), tuple(outs)))
+        return self.__dict__.setdefault(name, value)
 
     @functools.cached_property
     def traces(self) -> tuple[Trace, ...]:  # an outcome from each group, built on first read
@@ -142,14 +154,15 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
     table's initial groups, and (c) the successors of its nodes, one per
     next fluent state, depth first, so each world is reached once and a
     path is copied only where it branches: its weight is carried down in
-    integers and reduced once, and its outcome groups are kept as its
-    ``choices``.  The weights sum to exactly 1.
+    integers, and its outcome groups are kept as its ``choices``.  Each
+    world keeps the path's node state dicts, the integers and the groups,
+    and builds each of ``world`` (fresh state dicts), ``weight`` (reduced)
+    and ``choices`` on its first read.  The weights sum to exactly 1.
     """
     sig, table = dd.signature, _compile(dd)
     last, nodes, scale = sig.maxinst, table.nodes, table.scale
     result = []
-    for acting, num, den in _narratives(table.bits, dd.pprops):
-        masks = [acting[i] for i in sig.instants]
+    for masks, num, den in _narratives(table.bits, dd.pprops):
         # (instant, weight, fluent id, states, instants fired, initial and fired outcomes)
         stack = [(0, num * n, den * scale, g, [], [], [outs])
                  for g, outs, n, _ in reversed(table.initial)]
@@ -157,7 +170,7 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
             i, num, den, f, states, fired, outs = stack.pop()
             for i in range(i, last + 1):
                 node = nodes[f].get(masks[i]) or table.node(f, masks[i])
-                states.append(dict(node[0]))
+                states.append(node[0])
                 if i == last or len(targets := node[1] or table.step(f, node, i)) > 1:
                     break
                 (f, o, _, _), = targets  # one target has the rule's whole weight
@@ -168,8 +181,8 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
                 stack += [(i + 1, num * n, den * scale, g, states[:], fired + [i], outs + [o])
                           for g, o, n, _ in reversed(targets)]
                 continue
-            world = FiniteWorld(sig, tuple(states))
-            result.append(WeightedWorld(world, Fraction(num, den), (tuple(fired), tuple(outs))))
+            result.append(w := object.__new__(WeightedWorld))
+            w.__dict__["_raw"] = sig, states, num, den, fired, outs
     return result
 
 
@@ -392,9 +405,11 @@ def conditional(dd: DomainDescription, phi: IFormula,
                 psi: IFormula) -> Fraction:
     """P(phi | psi) = P(phi and psi) / P(psi); ConditionZero if P(psi)=0.
 
-    Windows are checked first, phi's first; ``satisfies`` folds psi once per
-    tuple of its literals' truths over the enumerated worlds, phi alike where
-    psi holds, and the weights add up as integer numerators per denominator."""
+    Windows are checked first, phi's first.  It reads each enumerated
+    world's raw path, building none of its fields: ``satisfies`` folds psi
+    once per tuple of its literals' truths over the path's node states, phi
+    alike where psi holds, and the walk's unreduced integer masses add up as
+    numerators per denominator, reduced once per denominator at the end."""
     table, known = _compile(dd), {}  # (formula, literal truths) -> verdict
     reads = {f: [(i, il.subject, il.value) for i, lits in table.query(f)[0].items()
                  for il in lits] for f in (phi, psi)}
@@ -405,10 +420,11 @@ def conditional(dd: DomainDescription, phi: IFormula,
 
     given, both = defaultdict(int), defaultdict(int)
     for w in enumerate_worlds(dd):
-        if holds(psi, states := w.world.states):
-            given[w.weight.denominator] += w.weight.numerator
+        _, states, num, den, _, _ = w._raw
+        if holds(psi, states):
+            given[den] += num
             if holds(phi, states):
-                both[w.weight.denominator] += w.weight.numerator
+                both[den] += num
     p_psi, p_both = (sum((Fraction(n, d) for d, n in s.items()), Fraction(0)) for s in (given, both))
     if p_psi == 0:
         raise ConditionZero("conditioning formula has probability 0")

@@ -40,6 +40,7 @@ from pec import (
     TRUE,
     Trace,
     VProp,
+    WeightedWorld,
     activated_cprop,
     at_instant,
     check_world,
@@ -260,6 +261,44 @@ class TestEnumerate:
                 with pytest.raises(TypeError, match="unhashable type: 'dict'"):
                     hash(w)  # outcome effects are dicts, as they were in the traces
                 assert replace(w, weight=w.weight / 2) != w
+
+
+def result_of(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_lazy_worlds_equal_their_eager_records(walk_pool):
+    fields = WeightedWorld._fields
+    orders = list(itertools.permutations(fields))
+    trips = [lambda w, p=p: pickle.loads(pickle.dumps(w, p))
+             for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy, copy.deepcopy, replace]
+    for dd in walk_pool:
+        batches = [enumerate_worlds(dd) for _ in range(len(trips) + 6)]
+        nodes = {id(node[0]) for per in pec.engine._compile(dd).nodes for node in per.values()}
+        # each twin of a world is unread until the check that reads it first
+        for k, (w, hashed, left, right, shown, matched, *tripped) in enumerate(zip(*batches)):
+            order = orders[k % len(orders)]
+            read = [getattr(w, name) for name in order]
+            eager = WeightedWorld(w.world, w.weight, w.choices)
+            assert read == [getattr(eager, name) for name in order]
+            assert not nodes & set(map(id, w.world.states))  # fresh dicts, no node's
+            assert result_of(lambda: hash(hashed)) == result_of(lambda: hash(eager))
+            assert left == eager and eager == right and repr(shown) == repr(eager)
+            match matched:
+                case WeightedWorld(world, weight, choices):
+                    assert (world, weight, choices) == (eager.world, eager.weight, eager.choices)
+                case _:
+                    pytest.fail(f"{matched!r} matches no WeightedWorld pattern")
+            for trip, twin in zip(trips, tripped):
+                again = trip(twin)
+                assert type(again) is WeightedWorld and again == eager
+                assert set(vars(again)) == set(fields)  # no raw path, so no node dict
+                assert not nodes & set(map(id, again.world.states))
+            assert w.traces == eager.traces
 
 
 @pytest.fixture(scope="module")
@@ -956,6 +995,19 @@ class TestStepTable:
             for key in state:
                 state[key] = "XXX"  # the records are frozen, their dicts are not
         assert [outcome(lambda: call(dd)) for call in calls] == expected
+
+    def test_mutated_worlds_change_no_later_answer(self, walk_pool):
+        rng = random.Random(31)
+        for dd in walk_pool:
+            phi, psi = (random_iformula(rng, dd.signature) for _ in range(2))
+            calls = [enumerate_worlds, lambda d: marginal(d, phi),
+                     lambda d: conditional(d, phi, psi), lambda d: sample_world(d, 7)]
+            before = [repr(result_of(lambda: call(dd))) for call in calls]
+            handed_out = [s for w in enumerate_worlds(dd) for s in w.world.states]
+            for state in handed_out + list(sample_world(dd, 7).states):
+                for key in state:
+                    state[key] = "XXX"  # a node dict handed out would change the table
+            assert [repr(result_of(lambda: call(dd))) for call in calls] == before
 
     def test_domain_is_not_kept_alive(self):
         dd = load_domain("antibiotic.pec")
