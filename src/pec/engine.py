@@ -8,10 +8,11 @@ actions occurring) its total state and, from its first step, where it
 can go, and the compiled form of each query asked (up to ``_QUERIES``).
 ``marginal`` is one forward pass over the nodes, carrying mass per (fluent
 id, residual of the query) and listing no worlds, through rows summed once
-per key and instant and shared by idle instants; enumeration walks them
-depth first, copying a path only where it branches (a world's fields and
-traces wait for their first read); the sampler draws along them, stepping
-no quiet fluent state where nothing occurs; ``tset`` and
+per key and instant and shared by idle instants: its answer, the share of
+that mass on residual True, is fixed once the query is read.  Enumeration
+walks them depth first, copying a path only where it branches (a world's
+fields and traces wait for their first read); the sampler draws along them,
+stepping no quiet fluent state where nothing occurs; ``tset`` and
 ``transition_graph`` reach them from a state dict.  ``conditional`` sums
 the enumerated worlds' raw paths and integer weights, folding a formula
 once per tuple of its literal truths; ``check_world`` stays an independent
@@ -215,16 +216,17 @@ class _Table:
     A node, a fluent id under a mask of occurring actions (``bits``), is
     ``nodes[id][mask] = [total state, successors]``, the successors filled
     at its first step: one ``(next id, outcomes in head order, summed
-    weight over scale, _cut of the running total)`` per target, in order
-    of first appearance, or ``((id, (), scale, 1.0),)`` when no rule
-    fires; a clash raises at each reach.  ``initial`` lists the initial
-    choices alike; ``patterns[i]`` the ``(mask, numerator, denominator)``
-    of each occurrence pattern at instant i, one tuple for equal lists
-    (``none`` where nothing occurs); ``events`` their instants and
-    ``maxinst``; ``queries`` the compiled form of the first ``_QUERIES``
-    queries asked.  It is kept on its domain and reads a copy of it.  Ids
-    are assigned under a lock and every other entry is published by one
-    store, so calls may share a table."""
+    weight over scale, _cut of the running total)`` per target, in order of
+    first appearance, or ``((id, (), scale, 1.0),)`` when no rule fires; a
+    clash raises at each reach.  ``initial`` lists the initial choices
+    alike; ``patterns[i]`` the ``(mask, numerator)`` of each occurrence
+    pattern at instant i, one tuple for equal lists (``none`` where nothing
+    occurs), with no denominator, as the answer is a share of the carried
+    mass; ``events`` their instants and ``maxinst``; ``queries`` the
+    compiled form of the first ``_QUERIES`` queries asked.  It is kept on
+    its domain and reads a copy of it.  Ids are assigned under a lock and
+    every other entry is published by one store, so calls may share a
+    table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -237,21 +239,21 @@ class _Table:
         occurring = defaultdict(list)  # instant -> the occurrences at it
         for p in dd.pprops:
             occurring[p.instant].append(p)
-        self.none, self.patterns = ((0, 1, 1),), {}  # the pattern list of no occurrence
+        self.none, self.patterns = ((0, 1),), {}  # the pattern list of no occurrence
         lists = {self.none: self.none}  # equal pattern lists are one tuple
         for i, ps in occurring.items():
-            ps = tuple([(masks.get(i, 0), num, den) for masks, num, den in _narratives(self.bits, ps)])
+            ps = tuple([(masks.get(i, 0), num) for masks, num, _ in _narratives(self.bits, ps)])
             self.patterns[i] = lists.setdefault(ps, ps)
-        self.events = sorted({*self.patterns, sig.maxinst})
+        self.events = {*self.patterns, sig.maxinst}
 
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
-        ``at`` and step, the sorted event instants, and the rows of the
-        forward pass by slot and key (see ``marginal``), its steps' only memo."""
+        ``at`` and step, the sorted stops (events and phi's instants), phi's
+        last instant, and the forward pass's rows by slot and key (see
+        ``marginal``), its steps' only memo."""
         if (known := self.queries.get(phi)) is None:
-            at, progress = progression(phi, last := self.rules.signature.maxinst)
-            extra = at.keys() - self.patterns.keys() - {last}  # instants only phi adds
-            known = at, progress, sorted({*self.events, *extra}) if extra else self.events, {}
+            at, progress = progression(phi, self.rules.signature.maxinst)
+            known = at, progress, sorted({*self.events, *at}), max(at), {}
             known = self.queries.setdefault(phi, known) if len(self.queries) < _QUERIES else known
         return known
 
@@ -357,31 +359,34 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     (the forward algorithm of hidden Markov models): a world's weight is a
     product over instants, so the mass of the worlds alike so far is one
     integer per key (fluent id, residual: what is left of phi once its
-    literals so far are put in).  Between events (occurrences, phi's
+    literals so far are put in).  The weights sum to 1, so the answer is
+    the share of the carried mass on residual True, fixed at phi's last
+    instant; from there the keys go on with mass 0, so a later clash still
+    raises and no integer grows.  Between stops (occurrences, phi's
     instants and ``maxinst``) it steps only while a carried fluent state is
     not quiet, reaching the (total state, instant) pairs enumeration does,
-    earliest first.  It returns the mass on residual True.  A key's row (its
-    next keys, weights summed over patterns and targets, and whether all
-    their fluent states are quiet) is built on first reach, a clash storing
-    nothing, and kept by slot: the instant where phi reads and at
-    ``maxinst``, else the interned pattern list, so idle instants share one
-    row per key.  A repeated call only sums rows."""
+    earliest first.  A key's row (its next keys, weights summed over
+    patterns and targets, and whether all their fluent states are quiet) is
+    built on first reach, a clash storing nothing, and kept by slot: the
+    instant where phi reads and at ``maxinst``, else the interned pattern
+    list, so idle instants share one row per key.  A repeated call only
+    sums rows."""
     last, table = dd.signature.maxinst, _compile(dd)
-    at, progress, events, rows = table.query(phi)
+    at, progress, stops, decided, rows = table.query(phi)
     nodes, quiet = table.nodes, table.quiet
     mass = {(g, phi): n for g, _, n, _ in table.initial}
-    calm, total, i = all(quiet[g] for g, _ in mass), table.scale, 0
-    for event in events:
-        while i <= event:
-            if i < event and calm:
-                i = event  # nothing occurs, is read or fires before it
+    calm, i = all(quiet[g] for g, _ in mass), 0
+    for stop in stops:
+        while i <= stop:
+            if i < stop and calm:
+                i = stop  # nothing occurs, is read or fires before it
             patterns, reads = table.patterns.get(i, table.none), i in at
             slot = i if reads or i == last else patterns
             memo, after, calm = rows.get(slot) or rows.setdefault(slot, {}), {}, True
             for key, m in mass.items():
                 if (row := memo.get(key)) is None:  # first reach of this key in this slot
                     (f, rest), sums = key, defaultdict(int)
-                    for mask, num, _ in patterns:
+                    for mask, num in patterns:
                         node = nodes[f].get(mask) or table.node(f, mask)
                         rest_i = progress(rest, i, node[0]) if reads else rest
                         for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
@@ -391,9 +396,12 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
                 for nxt, w in row[0]:
                     after[nxt] = after.get(nxt, 0) + m * w
                 calm = calm and row[1]
-            total *= patterns[0][2] * (table.scale if i < last else 1)
             mass, i = after, i + 1
-    return Fraction(sum(m for (_, rest), m in mass.items() if rest is True), total)
+        if stop == decided:  # phi is read no more
+            share = Fraction(sum(m for (_, rest), m in mass.items() if rest is True),
+                             sum(mass.values()))
+            mass = dict.fromkeys(mass, 0) if stop < last else mass
+    return share
 
 
 def entails(dd: DomainDescription, h: HProposition) -> bool:

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 import sys
 import threading
 import time
@@ -24,6 +25,7 @@ from pec import (
     ConcurrentActivation,
     ConditionZero,
     CProp,
+    DomainSignature,
     FALSE,
     FiniteWorld,
     HProposition,
@@ -53,6 +55,7 @@ from pec import (
     narrative_eval,
     parse_domain,
     parse_query,
+    render,
     replace,
     restrict,
     sample_frequency,
@@ -504,6 +507,42 @@ class TestGroupedWalk:
         elapsed = time.process_time() - start
         assert value == Fraction(1, 2)
         assert elapsed < 0.5, f"marginal took {elapsed:.2f} s"
+
+    def test_a_decided_query_carries_no_growing_mass(self):
+        # an uncertain occurrence at each of 10,000 instants, phi read at 10:
+        # past it the pass carries mass 0, so a warm call sums rows over
+        # short integers (18-20 ms on a 2-core x86-64 VM, Python 3.11, where
+        # multiplying the masses on to maxinst took 92-190 ms)
+        n = 10000
+        dd = parse_domain(
+            f"maxinst {n}\nfluent F takes-values {{a, b}}\naction A\n"
+            "initially-one-of {({F=a}, 1)}\nA causes-one-of {({F=a}, 1/3), ({F=b}, 2/3)}\n"
+            + "".join(f"A performed-at {i} with-prob 1/2\n" for i in range(n)))
+        phi = ILit("F", "a", 10)
+        assert marginal(dd, phi) == Fraction(171, 512)
+        elapsed = []
+        for _ in range(3):
+            start = time.process_time()
+            assert marginal(dd, phi) == Fraction(171, 512)
+            elapsed.append(time.process_time() - start)
+        assert min(elapsed) < 0.06, f"a warm marginal took {min(elapsed) * 1000:.0f} ms"
+
+    def test_a_clash_after_the_last_read_instant_still_raises(self):
+        # phi is decided at instant 0, 1 or 3; both rules fire at 3 in either
+        # fluent state, and the message names the state the pass reaches first
+        dd = parse_domain(
+            "maxinst 5\nfluent F takes-values {a, b}\naction A1\naction A2\n"
+            "initially-one-of {({F=a}, 1/3), ({F=b}, 2/3)}\n"
+            "A1 causes-one-of {({F=b}, 1/2), ({F=a}, 1/2)}\nA2 causes-one-of {({F=a}, 1)}\n"
+            "A1 performed-at 0 with-prob 1/2\nA1 performed-at 3 with-prob 1/3\n"
+            "A2 performed-at 3 with-prob 1/2\n")
+        message = "more than one causal rule is activated at instant 3 in state {A1=true, A2=true, F=b}"
+        for q in ("[F=b]@1", "[F=a]@0 | [A1]@2", "[F=b]@3"):
+            phi = parse_query(q, dd.signature)
+            for each in (replace(dd), replace(dd), dd, dd):  # cold, then warm on dd
+                with pytest.raises(ConcurrentActivation) as err:
+                    marginal(each, phi)
+                assert (str(err.value), err.value.instant) == (message, 3)
 
     def test_marginal_jumps_between_events(self):
         # the one-occurrence text of test_long_window_costs_linear_time: only
@@ -1259,6 +1298,41 @@ def test_complement_and_product_relations(query_pool):
                     assert conditional(dd, phi, psi) * p_psi == marginal(dd, And(phi, psi))
 
 
+def disjoint_union(a, b):
+    """A ⊎ B of two random domains, with A and B as the union keeps them:
+    B's symbols renamed apart, only A's occurrences at even instants and
+    B's at odd ones (every rule body reads an action, so no rule of one
+    fires where a rule of the other does), the initial outcomes multiplied
+    and the larger ``maxinst``."""
+    b = parse_domain(re.sub(r"\b([FA]\d+)\b", r"B\1", render(b)))
+    a, b = (replace(dd, pprops=tuple(p for p in dd.pprops if p.instant % 2 == odd))
+            for dd, odd in ((a, 0), (b, 1)))
+    sa, sb = a.signature, b.signature
+    union = replace(
+        a, signature=DomainSignature(sa.fluents + sb.fluents, sa.actions + sb.actions,
+                                     {**sa.vals, **sb.vals}, max(sa.maxinst, sb.maxinst)),
+        vprops=a.vprops + b.vprops, cprops=a.cprops + b.cprops, pprops=a.pprops + b.pprops,
+        iprop=IProp(tuple(Outcome({**x.effect, **y.effect}, x.weight * y.weight)
+                          for x in a.iprop.head for y in b.iprop.head)))
+    return parse_domain(render(union)), a, b  # the union is a valid domain
+
+
+# P_A⊎B(phi_A & phi_B) = P_A(phi_A) P_B(phi_B) when A and B share no symbol
+# and their rules never fire at one instant; each asked twice, warm the second
+def test_a_disjoint_union_multiplies_marginals(query_pool):
+    rng, shares = random.Random(39), collections.Counter()
+    pool = query_pool[3:]  # the random and micro domains, whose symbols are F1.. and A1..
+    for left, right in zip(pool[::2], pool[1::2]):
+        union, a, b = disjoint_union(left, right)
+        for phi_a, phi_b in [(random_iformula(rng, a.signature), random_iformula(rng, b.signature)),
+                             (covering_iformula(rng, a.signature), covering_iformula(rng, b.signature))]:
+            p_a, p_b = marginal(a, phi_a), marginal(b, phi_b)
+            for _ in range(2):
+                assert marginal(union, And(phi_a, phi_b)) == p_a * p_b
+            shares[0 < p_a < 1, 0 < p_b < 1] += 1
+    assert len(shares) == 4 and min(shares.values()) > 15, shares
+
+
 def rows_of(table):
     """How many rows the forward pass keeps over all of a table's queries."""
     return sum(len(memo) for *_, rows in table.queries.values() for memo in rows.values())
@@ -1329,6 +1403,27 @@ class TestRows:
                 assert 0 < marginal(dd, parse_query(q, dd.signature)) <= 1
             counts.append(rows_of(pec.engine._compile(dd)))
         assert counts[0] == counts[1] < 40
+
+
+def test_every_stored_row_conserves_mass(query_pool):
+    # a row's weights sum to its slot's pattern numerators times scale, or
+    # times 1 at maxinst, where nothing moves: the answer is a share of the
+    # carried mass, so a leak would show here and not in P(phi) + P(!phi) = 1
+    rng, checked = random.Random(40), collections.Counter()
+    long = [random_domain(rng, max_maxinst=30, max_pprops=5) for _ in range(40)]
+    for dd in map(replace, query_pool + long):  # each copy starts cold
+        sig, table = dd.signature, pec.engine._compile(dd)
+        for phi in (random_iformula(rng, sig), covering_iformula(rng, sig)):
+            outcome(lambda: marginal(dd, phi))  # keys clashes, storing the rows before it
+        for *_, rows in table.queries.values():
+            for slot, memo in rows.items():
+                kind = "idle" if type(slot) is tuple else "last" if slot == sig.maxinst else "read"
+                patterns = table.patterns.get(slot, table.none) if kind != "idle" else slot
+                expected = sum(num for _, num in patterns) * (table.scale if kind != "last" else 1)
+                for row, _ in memo.values():
+                    assert sum(w for _, w in row) == expected
+                    checked[kind] += 1
+    assert min(checked.values()) > 500, checked
 
 
 # Metamorphic relations: a change to a domain that cannot change its answers
