@@ -1,8 +1,9 @@
 """Exact reasoning engine and ASP compiler for probabilistic event
 calculus domains: parse action-domain descriptions, compute query
 probabilities over a finite window (marginals by one forward pass over
-fluent states and query residuals, conditionals by listing every world),
-and emit an equivalent answer set program."""
+fluent states and query residuals, conditionals as the ratio of two such
+passes, with the worlds listed only to check for clashes), and emit an
+equivalent answer set program."""
 
 from .core import (
     And,

@@ -12,14 +12,15 @@ per key and instant and shared by idle instants: its answer, the share of
 that mass on residual True, is fixed once the query is read.  Enumeration
 walks them depth first, copying a path only where it branches (a world's
 fields and traces wait for their first read); the sampler draws along them,
-stepping no quiet fluent state where nothing occurs; ``tset`` and
-``transition_graph`` reach them from a state dict.  ``conditional`` sums
-the enumerated worlds' raw paths and integer weights, folding a formula
-once per tuple of its literal truths; ``check_world`` stays an independent
-brute-force judge of the three well-behavedness conditions, an oracle
-against the enumerator.  Queries check the window up front; the sampler
-hands out only the nodes at the query's instants, folds the query once per
-distinct tuple of them and leaves the window to ``satisfies``.
+jumping over quiet fluent states between the instants it must visit;
+``tset`` and ``transition_graph`` reach them from a state dict.
+``conditional`` is the ratio of two forward passes, P(phi and psi) over
+P(psi), and walks the worlds only to check for a clash; ``check_world``
+stays an independent brute-force judge of the three well-behavedness
+conditions, an oracle against the enumerator.  Queries check the window
+up front; the sampler hands out only the nodes at the query's instants,
+folds the query once per distinct tuple of them and leaves the window to
+``satisfies``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .core import (_NO_VALUE, ConcurrentActivation, ConditionZero, DomainSignature, FALSE,
-                   IFormula, Outcome, Record, TRUE, _holds, eval_formula, fold, outcomes_weight,
+from .core import (_NO_VALUE, And, ConcurrentActivation, ConditionZero, DomainSignature, FALSE,
+                   IFormula, Outcome, Record, TRUE, eval_formula, fold, outcomes_weight,
                    progression, replace, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
@@ -223,10 +224,10 @@ class _Table:
     pattern at instant i, one tuple for equal lists (``none`` where nothing
     occurs), with no denominator, as the answer is a share of the carried
     mass; ``events`` their instants and ``maxinst``; ``queries`` the
-    compiled form of the first ``_QUERIES`` queries asked.  It is kept on
-    its domain and reads a copy of it.  Ids are assigned under a lock and
-    every other entry is published by one store, so calls may share a
-    table."""
+    compiled form of the first ``_QUERIES`` queries asked, equal stop lists
+    one tuple (``stops``).  It is kept on its domain and reads a copy of it.
+    Ids are assigned under a lock and every other entry is published by one
+    store, so calls may share a table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -234,7 +235,8 @@ class _Table:
         self.bits = {a: 1 << k for k, a in enumerate(sig.actions)}
         self.scale = math.lcm(*(o.weight.denominator for c in (*dd.cprops, dd.iprop)
                                 for o in c.head))
-        self.ids, self.fluents, self.quiet, self.nodes, self.queries = {}, [], [], [], {}
+        self.ids, self.fluents, self.quiet, self.nodes = {}, [], [], []
+        self.queries, self.stops = {}, {}  # phi -> compiled form; stop list -> itself
         self.initial = self.targets({}, dd.iprop.head)
         occurring = defaultdict(list)  # instant -> the occurrences at it
         for p in dd.pprops:
@@ -248,12 +250,16 @@ class _Table:
 
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
-        ``at`` and step, the sorted stops (events and phi's instants), phi's
-        last instant, and the forward pass's rows by slot and key (see
-        ``marginal``), its steps' only memo."""
+        ``at`` and step, the sorted stops (events and phi's instants; the
+        first ``_QUERIES`` distinct lists interned), phi's last instant, and
+        the forward pass's rows by slot and key (see ``marginal``), its
+        steps' only memo."""
         if (known := self.queries.get(phi)) is None:
             at, progress = progression(phi, self.rules.signature.maxinst)
-            known = at, progress, sorted({*self.events, *at}), max(at), {}
+            stops = tuple(sorted({*self.events, *at}))
+            if len(self.stops) < _QUERIES:
+                stops = self.stops.setdefault(stops, stops)
+            known = at, progress, stops, max(at), {}
             known = self.queries.setdefault(phi, known) if len(self.queries) < _QUERIES else known
         return known
 
@@ -413,30 +419,16 @@ def conditional(dd: DomainDescription, phi: IFormula,
                 psi: IFormula) -> Fraction:
     """P(phi | psi) = P(phi and psi) / P(psi); ConditionZero if P(psi)=0.
 
-    Windows are checked first, phi's first.  It reads each enumerated
-    world's raw path, building none of its fields: ``satisfies`` folds psi
-    once per tuple of its literals' truths over the path's node states, phi
-    alike where psi holds, and the walk's unreduced integer masses add up as
-    numerators per denominator, reduced once per denominator at the end."""
-    table, known = _compile(dd), {}  # (formula, literal truths) -> verdict
-    reads = {f: [(i, il.subject, il.value) for i, lits in table.query(f)[0].items()
-                 for il in lits] for f in (phi, psi)}
-
-    def holds(f, states) -> bool:
-        key = f, tuple([_holds(states[i], s, v) for i, s, v in reads[f]])
-        return known[key] if key in known else known.setdefault(key, satisfies(states, f))
-
-    given, both = defaultdict(int), defaultdict(int)
-    for w in enumerate_worlds(dd):
-        _, states, num, den, _, _ = w._raw
-        if holds(psi, states):
-            given[den] += num
-            if holds(phi, states):
-                both[den] += num
-    p_psi, p_both = (sum((Fraction(n, d) for d, n in s.items()), Fraction(0)) for s in (given, both))
-    if p_psi == 0:
+    Windows are checked first, phi's first.  Both probabilities come from
+    ``marginal``'s forward pass; the worlds are enumerated only as the clash
+    check, which reports the clash the depth-first walk reaches, and not
+    the earliest one the pass would."""
+    for f in (phi, psi):
+        _compile(dd).query(f)
+    enumerate_worlds(dd)
+    if (p_psi := marginal(dd, psi)) == 0:
         raise ConditionZero("conditioning formula has probability 0")
-    return p_both / p_psi
+    return marginal(dd, And(phi, psi)) / p_psi
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +528,28 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
     last, reads = dd.signature.maxinst, {}
     fold(phi, lambda il: 0 <= il.instant <= last and reads.setdefault(il.instant), _NO_VALUE)
     rng, draw, reads = random.Random(seed), _sampler(dd, reads), sorted(reads)
-    states = [None] * (last + 1)  # the nodes of the latest folded draw at phi's instants
+    states = _Held(last)  # the nodes of the latest folded draw at phi's instants
     verdicts: dict[tuple, bool] = {}  # node ids at the instants read -> phi's truth
     hits = 0
     for _ in range(count):
         drawn = draw(rng)
         if (verdict := verdicts.get(key := tuple(map(id, drawn)))) is None:
-            for i, state in zip(reads, drawn):
-                states[i] = state
+            states.update(zip(reads, drawn))
             verdict = satisfies(states, phi)
             if len(verdicts) < _VERDICTS:
                 verdicts[key] = verdict
         hits += verdict
     return Fraction(hits, count)
+
+
+class _Held(dict):
+    """States by instant, read by ``satisfies`` as the window's sequence."""
+
+    def __init__(self, maxinst: int):
+        self.size = maxinst + 1
+
+    def __len__(self) -> int:
+        return self.size
 
 
 def _sampler(dd: DomainDescription, keep=None):
@@ -557,41 +558,54 @@ def _sampler(dd: DomainDescription, keep=None):
     compared against the ``_cut`` of a probability or running total, which
     decides as the exact ``Fraction`` would (the last choice when none
     exceeds it); certain occurrences and single-target steps draw nothing.
-    Where nothing occurs and no rule fires, a draw carries the fluent state
-    on unstepped.  It hands out the nodes' state dicts: ``sample_world`` copies."""
+    A draw visits its stops (instant 0, the occurrences and the kept
+    instants below ``maxinst``); in the gap before the next stop it steps
+    only while a rule fires, so a quiet fluent state is carried across
+    unstepped.  It hands out the nodes' state dicts."""
     last, table = dd.signature.maxinst, _compile(dd)
     nodes, quiet = table.nodes, table.quiet
-    sure, kept = [0] * (last + 1), [keep is None or i in keep for i in range(last + 1)]
+    keep = range(last + 1) if keep is None else keep
+    stops = sorted({0, *keep, *table.events} - {last})  # events: the occurrences and maxinst
+    at, kept = {i: k for k, i in enumerate(stops)}, [i in keep for i in stops]
+    sure, gaps = [0] * len(stops), [range(i + 1, j) for i, j in zip(stops, stops[1:] + [last])]
     for p in dd.pprops:
-        sure[p.instant] |= table.bits[p.action] if p.prob == 1 else 0
-    occurs = [(table.bits[p.action], p.instant, _cut(p.prob)) for p in dd.pprops if p.prob != 1]
+        sure[at[p.instant]] |= table.bits[p.action] if p.prob == 1 else 0
+    occurs = [(table.bits[p.action], at[p.instant], _cut(p.prob))
+              for p in dd.pprops if p.prob != 1]
 
     def draw(rng: random.Random) -> list[dict[str, str]]:
         draw_random, on, states = rng.random, sure[:], []
-        for bit, i, cut in occurs:
+        for bit, k, cut in occurs:
             if draw_random() < cut:
-                on[i] |= bit
+                on[k] |= bit
         r = draw_random()
         for g, _, _, cut in table.initial:  # the first cut above r, else the last
             if r < cut:
                 break
-        for i, mask in enumerate(on):
+        for k, mask in enumerate(on):
             if not mask and quiet[g]:  # no rule fires: g stays, drawing nothing
-                if kept[i]:
+                if kept[k]:
                     states.append(nodes[g][0][0])
                 continue
             node = nodes[g].get(mask) or table.node(g, mask)
-            if kept[i]:
+            if kept[k]:
                 states.append(node[0])
-            if i < last:
-                steps = node[1] or table.step(g, node, i)
-                if len(steps) > 1:
-                    r = draw_random()
-                    for g, _, _, cut in steps:
-                        if r < cut:
-                            break
-                else:
-                    g = steps[0][0]
+            if len(steps := node[1] or table.step(g, node, stops[k])) > 1:
+                r = draw_random()
+                for g, _, _, cut in steps:
+                    if r < cut:
+                        break
+            else:
+                g = steps[0][0]
+            if gaps[k] and not quiet[g]:  # nothing occurs in the gap, but a rule fires
+                for i in gaps[k]:
+                    steps = nodes[g][0][1] or table.step(g, nodes[g][0], i)
+                    r = draw_random() if len(steps) > 1 else 0.0  # one target draws nothing
+                    g = next(h for h, _, _, cut in steps if r < cut)  # the last cut is 1.0
+                    if quiet[g]:  # no rule fires: g stays to the next stop
+                        break
+        if last in keep:  # nothing occurs at maxinst and no move leaves it
+            states.append(nodes[g][0][0])
         return states
 
     return draw

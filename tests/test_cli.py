@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -449,6 +450,23 @@ class TestSample:
         assert err.value.code == 1
         assert capsys.readouterr().err == (
             "pec sample: error: PEC_PRECISION must be an integer, not 'x'\n")
+
+    def test_a_huge_window_samples_like_its_short_twin(self, capsys, tmp_path):
+        # a draw jumps over the quiet fluent states between its stops, so
+        # nothing it builds grows with maxinst: 10**9 instants print what 3 do
+        body = ("fluent F takes-values {a, b}\naction A\ninitially-one-of {({F=a}, 1)}\n"
+                "A causes-one-of {({F=b}, 1/2), ({F=a}, 1/2)}\nA performed-at 1 with-prob 1/2\n")
+        printed = []
+        for maxinst in (3, 10**9):
+            path = tmp_path / f"window{maxinst}.pec"
+            path.write_text(f"maxinst {maxinst}\n{body}")
+            start = time.process_time()
+            printed.append(run(capsys, "sample", str(path), "-n", "10", "--seed", "1",
+                               "-q", "[F=b]@2"))
+            elapsed = time.process_time() - start
+        assert printed[0] == printed[1] == (
+            0, "samples   10\nfrequency 0.400000\nexact     0.250000\n", "")
+        assert elapsed < 1.0, f"sampling the huge window took {elapsed:.2f} s"
 
     def test_zero_count(self, capsys):
         code, _, err = run(capsys, "sample", COIN, "-n", "0", "-q",

@@ -456,6 +456,27 @@ class TestGroupedWalk:
         assert [w.weight for w in enumerate_worlds(late)] == [1]
         assert marginal(late, ILit("F", "b", 1)) == marginal(late, ILit("F", "a", 0)) == 1
 
+    def test_conditional_raises_the_clash_enumeration_raises(self):
+        # where the depth-first walk reaches a later clash than the forward
+        # pass, conditional reports the walk's, warm and cold
+        later = 0
+        for dd in clash_twins(200):
+            f = dd.signature.fluents[0]
+            phi, psi = ILit(f, dd.signature.vals[f][0], 0), ILit(f, dd.signature.vals[f][-1], 1)
+            try:
+                enumerate_worlds(dd)
+            except ConcurrentActivation as exc:
+                with pytest.raises(ConcurrentActivation) as early:
+                    marginal(dd, phi)
+                if exc.instant == early.value.instant:
+                    continue
+                later += 1
+                for copy in (dd, replace(dd)):
+                    with pytest.raises(ConcurrentActivation) as err:
+                        conditional(copy, phi, psi)
+                    assert (str(err.value), err.value.instant) == (str(exc), exc.instant)
+        assert later > 0
+
     @pytest.mark.parametrize("k", [8, 12, 50])
     def test_marginal_on_long_toss_narratives(self, k):
         # the coin tossed at instants 1..k, each with probability p = 1/2:
@@ -678,8 +699,8 @@ class TestQueries:
         assert conditional(coin, phi, psi) == num / den
 
     def test_one_fold_per_distinct_valuation(self, monkeypatch):
-        # six uncertain tosses give 729 worlds; psi is folded once per tuple
-        # of its literal truths, phi once per tuple of its own where psi holds
+        # six uncertain tosses give 729 worlds; both probabilities come from
+        # the forward pass, so conditional folds no formula over worlds
         dd = parse_domain(
             "maxinst 7\nfluent Coin takes-values {Heads, Tails}\n"
             "action Toss\ninitially-one-of {({Coin=Heads}, 1)}\n"
@@ -687,22 +708,16 @@ class TestQueries:
             + "".join(f"Toss performed-at {i} with-prob 1/2\n" for i in range(1, 7)))
         phi = parse_query("[Coin=Heads]@7 | [Toss]@3 & [Coin=Tails]@5", dd.signature)
         psi = parse_query("[Coin=Tails]@4 -> [Toss]@2 | ![Coin=Heads]@6", dd.signature)
-        phi_lits = [ILit("Coin", "Heads", 7), ILit("Toss", TRUE, 3), ILit("Coin", "Tails", 5)]
-        psi_lits = [ILit("Coin", "Tails", 4), ILit("Toss", TRUE, 2), ILit("Coin", "Heads", 6)]
         worlds = enumerate_worlds(dd)
         assert len(worlds) == 729
         given = [w for w in worlds if w.world.satisfies(psi)]
-        valuations = [{tuple(w.world.satisfies(lit) for lit in lits) for w in pool}
-                      for lits, pool in ((psi_lits, worlds), (phi_lits, given))]
         expected = sum(w.weight for w in given if w.world.satisfies(phi)) / sum(
             w.weight for w in given)
         calls, counted = [], pec.engine.satisfies
         monkeypatch.setattr(pec.engine, "satisfies",
                             lambda states, f: calls.append(f) or counted(states, f))
         assert conditional(dd, phi, psi) == expected
-        assert calls.count(psi) == len(valuations[0]) == 8
-        assert calls.count(phi) == len(valuations[1])
-        assert len(calls) == len(valuations[0]) + len(valuations[1])
+        assert calls == []
 
     def test_condition_zero(self, coin):
         sig = coin.signature
@@ -1267,6 +1282,25 @@ class TestCompiledQueries:
         kinds = collections.Counter(line[0] if type(line) is tuple else "value" for line in lines)
         assert min(kinds.values()) > 20 and len(kinds) == 5, kinds
         assert hashlib.sha256(repr(lines).encode()).hexdigest() == ANSWERS_DIGEST
+
+    def test_equal_stop_lists_are_one_tuple(self, coin, monkeypatch):
+        # coin's events are its occurrence at 1 and maxinst 3
+        dd = replace(coin)
+        table, sig = pec.engine._compile(dd), dd.signature
+        phi, psi = (parse_query(q, sig) for q in ("[Coin=Heads]@3", "[Toss]@1 & ![Coin=Tails]@3"))
+        conditional(dd, phi, psi)  # compiles phi, psi and phi & psi
+        first, second = (parse_query(q, sig)
+                         for q in ("[Coin=Heads]@2", "[Coin=Tails]@0 | [Coin=Tails]@2"))
+        marginal(dd, first), marginal(dd, second)
+        stops = {q: table.queries[q][2] for q in (phi, psi, And(phi, psi), first, second)}
+        assert stops[phi] == (1, 3) and stops[first] == (1, 2, 3) and stops[second] == (0, 1, 2, 3)
+        assert stops[psi] is stops[And(phi, psi)] is stops[phi]
+        assert stops[first] is not stops[second]
+        assert list(table.stops.values()) == [(1, 3), (1, 2, 3), (0, 1, 2, 3)]
+        # the table interns at most _QUERIES stop lists
+        monkeypatch.setattr(pec.engine, "_QUERIES", len(table.stops))
+        assert marginal(dd, ILit("Coin", "Heads", 0)) == 1
+        assert len(table.stops) == 3
 
     @pytest.mark.parametrize("kept", [pec.engine._QUERIES, 2])
     def test_the_memo_stays_at_its_limit(self, antibiotic, kept, monkeypatch):
