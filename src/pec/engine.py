@@ -11,11 +11,14 @@ id, residual of the query) and listing no worlds, through rows summed once
 per key and instant and shared by idle instants: its answer, the share of
 that mass on residual True, is fixed once the query is read.  Enumeration
 walks them depth first, copying a path only where it branches (a world's
-fields and traces wait for their first read); the sampler draws along them,
-jumping over quiet fluent states between the instants it must visit;
-``tset`` and ``transition_graph`` reach them from a state dict.
-``conditional`` is the ratio of two forward passes, P(phi and psi) over
-P(psi), and walks the worlds only to check for a clash; ``check_world``
+fields and traces wait for their first read); the sampler draws along
+them, stepping only at the instants it must visit; ``tset`` and
+``transition_graph`` reach them from a state dict.  The pass and the
+sampler skip each instant where nothing occurs: every rule body entails
+an action (a condition validation checks), so no rule fires there; a
+domain built without it is stepped at every instant.  ``conditional`` is
+the ratio of two forward passes, P(phi and psi) over P(psi), and walks
+the worlds only to check for a clash; ``check_world``
 stays an independent brute-force judge of the three well-behavedness
 conditions, an oracle against the enumerator.  Queries check the window
 up front; the sampler hands out only the nodes at the query's instants,
@@ -35,8 +38,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .core import (_NO_VALUE, And, ConcurrentActivation, ConditionZero, DomainSignature, FALSE,
-                   IFormula, Outcome, Record, TRUE, eval_formula, fold, outcomes_weight,
-                   progression, replace, satisfies, update)
+                   IFormula, Lit, Outcome, Record, TRUE, eval_formula, fold, herbrand_entails,
+                   outcomes_weight, progression, replace, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
 # node tuples whose verdict one sample_frequency call keeps: a query over
@@ -213,19 +216,20 @@ class _Table:
     """A domain interned into nodes, filled in as they are reached.
 
     Each reached fluent state gets an int id once: ``fluents[id]`` is its
-    dict, and ``quiet[id]`` says no rule fires in it when nothing occurs.
-    A node, a fluent id under a mask of occurring actions (``bits``), is
-    ``nodes[id][mask] = [total state, successors]``, the successors filled
-    at its first step: one ``(next id, outcomes in head order, summed
-    weight over scale, _cut of the running total)`` per target, in order of
-    first appearance, or ``((id, (), scale, 1.0),)`` when no rule fires; a
-    clash raises at each reach.  ``initial`` lists the initial choices
-    alike; ``patterns[i]`` the ``(mask, numerator)`` of each occurrence
-    pattern at instant i, one tuple for equal lists (``none`` where nothing
-    occurs), with no denominator, as the answer is a share of the carried
-    mass; ``events`` their instants and ``maxinst``; ``queries`` the
-    compiled form of the first ``_QUERIES`` queries asked, equal stop lists
-    one tuple (``stops``).  It is kept on its domain and reads a copy of it.
+    dict.  A node, a fluent id under a mask of occurring actions
+    (``bits``), is ``nodes[id][mask] = [total state, successors]``, the
+    successors filled at its first step: one ``(next id, outcomes in head
+    order, summed weight over scale, _cut of the running total)`` per
+    target, in order of first appearance, or ``((id, (), scale, 1.0),)``
+    when no rule fires; a clash raises at each reach.  ``initial`` lists
+    the initial choices alike; ``patterns[i]`` the ``(mask, numerator)`` of
+    each occurrence pattern at instant i, one tuple for equal lists
+    (``none`` where nothing occurs), with no denominator, as the answer is
+    a share of the carried mass; ``events`` their instants and ``maxinst``,
+    the only instants where a rule can fire when every rule body entails an
+    action, else every instant; ``queries`` the compiled form of the first
+    ``_QUERIES`` queries asked, equal stop lists one tuple (``stops``).  It
+    is kept on its domain and reads a copy of it.
     Ids are assigned under a lock and every other entry is published by one
     store, so calls may share a table."""
 
@@ -235,7 +239,7 @@ class _Table:
         self.bits = {a: 1 << k for k, a in enumerate(sig.actions)}
         self.scale = math.lcm(*(o.weight.denominator for c in (*dd.cprops, dd.iprop)
                                 for o in c.head))
-        self.ids, self.fluents, self.quiet, self.nodes = {}, [], [], []
+        self.ids, self.fluents, self.nodes = {}, [], []
         self.queries, self.stops = {}, {}  # phi -> compiled form; stop list -> itself
         self.initial = self.targets({}, dd.iprop.head)
         occurring = defaultdict(list)  # instant -> the occurrences at it
@@ -247,6 +251,9 @@ class _Table:
             ps = tuple([(masks.get(i, 0), num) for masks, num, _ in _narratives(self.bits, ps)])
             self.patterns[i] = lists.setdefault(ps, ps)
         self.events = {*self.patterns, sig.maxinst}
+        if not all(any(herbrand_entails(c.body, Lit(a, TRUE)) for a in sig.actions)
+                   for c in dd.cprops):  # a rule may fire where nothing occurs
+            self.events = set(range(sig.maxinst + 1))
 
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
@@ -268,9 +275,7 @@ class _Table:
         with self.lock:
             if key not in self.ids:
                 self.fluents.append(dict(zip(self.names, key)))
-                idle = {**self.fluents[-1], **self.idle}
-                self.quiet.append(not any(eval_formula(idle, c.body) for c in self.rules.cprops))
-                self.nodes.append({0: [idle, None]})
+                self.nodes.append({0: [{**self.fluents[-1], **self.idle}, None]})
                 self.ids[key] = len(self.nodes) - 1
             return self.ids[key]
 
@@ -368,45 +373,37 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     literals so far are put in).  The weights sum to 1, so the answer is
     the share of the carried mass on residual True, fixed at phi's last
     instant; from there the keys go on with mass 0, so a later clash still
-    raises and no integer grows.  Between stops (occurrences, phi's
-    instants and ``maxinst``) it steps only while a carried fluent state is
-    not quiet, reaching the (total state, instant) pairs enumeration does,
-    earliest first.  A key's row (its next keys, weights summed over
-    patterns and targets, and whether all their fluent states are quiet) is
-    built on first reach, a clash storing nothing, and kept by slot: the
-    instant where phi reads and at ``maxinst``, else the interned pattern
-    list, so idle instants share one row per key.  A repeated call only
-    sums rows."""
+    raises and no integer grows.  It steps only at its stops (the table's
+    events and phi's instants): between them nothing occurs, so no rule
+    fires and every fluent state stays.  A key's row (its next keys, weights
+    summed over patterns and targets) is built on first reach, a clash
+    storing nothing, and kept by slot: the instant where phi reads and at
+    ``maxinst``, else the interned pattern list, so idle instants share one
+    row per key.  A repeated call only sums rows."""
     last, table = dd.signature.maxinst, _compile(dd)
     at, progress, stops, decided, rows = table.query(phi)
-    nodes, quiet = table.nodes, table.quiet
-    mass = {(g, phi): n for g, _, n, _ in table.initial}
-    calm, i = all(quiet[g] for g, _ in mass), 0
-    for stop in stops:
-        while i <= stop:
-            if i < stop and calm:
-                i = stop  # nothing occurs, is read or fires before it
-            patterns, reads = table.patterns.get(i, table.none), i in at
-            slot = i if reads or i == last else patterns
-            memo, after, calm = rows.get(slot) or rows.setdefault(slot, {}), {}, True
-            for key, m in mass.items():
-                if (row := memo.get(key)) is None:  # first reach of this key in this slot
-                    (f, rest), sums = key, defaultdict(int)
-                    for mask, num in patterns:
-                        node = nodes[f].get(mask) or table.node(f, mask)
-                        rest_i = progress(rest, i, node[0]) if reads else rest
-                        for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
-                                node[1] or table.step(f, node, i):
-                            sums[g, rest_i] += num * n
-                    row = memo.setdefault(key, (tuple(sums.items()), all(quiet[g] for g, _ in sums)))
-                for nxt, w in row[0]:
-                    after[nxt] = after.get(nxt, 0) + m * w
-                calm = calm and row[1]
-            mass, i = after, i + 1
-        if stop == decided:  # phi is read no more
+    nodes, mass = table.nodes, {(g, phi): n for g, _, n, _ in table.initial}
+    for i in stops:
+        patterns, reads = table.patterns.get(i, table.none), i in at
+        slot = i if reads or i == last else patterns
+        memo, after = rows.get(slot) or rows.setdefault(slot, {}), {}
+        for key, m in mass.items():
+            if (row := memo.get(key)) is None:  # first reach of this key in this slot
+                (f, rest), sums = key, defaultdict(int)
+                for mask, num in patterns:
+                    node = nodes[f].get(mask) or table.node(f, mask)
+                    rest_i = progress(rest, i, node[0]) if reads else rest
+                    for g, _, n, _ in ((f, (), 1, 1.0),) if i == last else \
+                            node[1] or table.step(f, node, i):
+                        sums[g, rest_i] += num * n
+                row = memo.setdefault(key, tuple(sums.items()))
+            for nxt, w in row:
+                after[nxt] = after.get(nxt, 0) + m * w
+        mass = after
+        if i == decided:  # phi is read no more
             share = Fraction(sum(m for (_, rest), m in mass.items() if rest is True),
                              sum(mass.values()))
-            mass = dict.fromkeys(mass, 0) if stop < last else mass
+            mass = dict.fromkeys(mass, 0) if i < last else mass
     return share
 
 
@@ -558,16 +555,14 @@ def _sampler(dd: DomainDescription, keep=None):
     compared against the ``_cut`` of a probability or running total, which
     decides as the exact ``Fraction`` would (the last choice when none
     exceeds it); certain occurrences and single-target steps draw nothing.
-    A draw visits its stops (instant 0, the occurrences and the kept
-    instants below ``maxinst``); in the gap before the next stop it steps
-    only while a rule fires, so a quiet fluent state is carried across
-    unstepped.  It hands out the nodes' state dicts."""
+    A draw steps only at its stops (instant 0, the table's events and the
+    kept instants, below ``maxinst``) and carries its fluent state across
+    the gaps, where no rule fires.  It hands out the nodes' state dicts."""
     last, table = dd.signature.maxinst, _compile(dd)
-    nodes, quiet = table.nodes, table.quiet
-    keep = range(last + 1) if keep is None else keep
+    nodes, keep = table.nodes, range(last + 1) if keep is None else keep
     stops = sorted({0, *keep, *table.events} - {last})  # events: the occurrences and maxinst
     at, kept = {i: k for k, i in enumerate(stops)}, [i in keep for i in stops]
-    sure, gaps = [0] * len(stops), [range(i + 1, j) for i, j in zip(stops, stops[1:] + [last])]
+    sure = [0] * len(stops)
     for p in dd.pprops:
         sure[at[p.instant]] |= table.bits[p.action] if p.prob == 1 else 0
     occurs = [(table.bits[p.action], at[p.instant], _cut(p.prob))
@@ -583,10 +578,6 @@ def _sampler(dd: DomainDescription, keep=None):
             if r < cut:
                 break
         for k, mask in enumerate(on):
-            if not mask and quiet[g]:  # no rule fires: g stays, drawing nothing
-                if kept[k]:
-                    states.append(nodes[g][0][0])
-                continue
             node = nodes[g].get(mask) or table.node(g, mask)
             if kept[k]:
                 states.append(node[0])
@@ -597,13 +588,6 @@ def _sampler(dd: DomainDescription, keep=None):
                         break
             else:
                 g = steps[0][0]
-            if gaps[k] and not quiet[g]:  # nothing occurs in the gap, but a rule fires
-                for i in gaps[k]:
-                    steps = nodes[g][0][1] or table.step(g, nodes[g][0], i)
-                    r = draw_random() if len(steps) > 1 else 0.0  # one target draws nothing
-                    g = next(h for h, _, _, cut in steps if r < cut)  # the last cut is 1.0
-                    if quiet[g]:  # no rule fires: g stays to the next stop
-                        break
         if last in keep:  # nothing occurs at maxinst and no move leaves it
             states.append(nodes[g][0][0])
         return states

@@ -452,8 +452,9 @@ class TestSample:
             "pec sample: error: PEC_PRECISION must be an integer, not 'x'\n")
 
     def test_a_huge_window_samples_like_its_short_twin(self, capsys, tmp_path):
-        # a draw jumps over the quiet fluent states between its stops, so
-        # nothing it builds grows with maxinst: 10**9 instants print what 3 do
+        # a draw steps only at its stops, never in the gaps where no rule
+        # fires, so nothing it builds grows with maxinst: 10**9 instants print
+        # what 3 do
         body = ("fluent F takes-values {a, b}\naction A\ninitially-one-of {({F=a}, 1)}\n"
                 "A causes-one-of {({F=b}, 1/2), ({F=a}, 1/2)}\nA performed-at 1 with-prob 1/2\n")
         printed = []

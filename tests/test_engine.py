@@ -567,10 +567,10 @@ class TestGroupedWalk:
 
     def test_marginal_jumps_between_events(self):
         # the one-occurrence text of test_long_window_costs_linear_time: only
-        # instants 0, 1 and 12000 hold an occurrence or a literal, and both
-        # fluent states are quiet, so the pass jumps from event to event
+        # instants 0, 1 and 12000 hold an occurrence or a literal, and the
+        # rule's body entails A, so the pass jumps from event to event
         # (0.1-0.3 ms of CPU on a 2-core x86-64 VM, Python 3.11, where
-        # stepping every quiet instant took 38-68 ms)
+        # stepping every idle instant took 38-68 ms)
         dd = parse_domain(
             "maxinst 12000\nfluent F takes-values {a, b}\naction A\n"
             "initially-one-of {({F=a}, 1)}\n"
@@ -981,18 +981,17 @@ class TestSampling:
         assert sample_frequency(coin, phi, 10000, 7) == expected
         assert 1 <= len(calls) <= 2  # coin reaches instant 2 as Heads or as Tails
 
-    # with nothing occurring and no rule able to fire, a draw carries the
-    # fluent state forward without stepping its node
-    def test_a_quiet_instant_costs_no_step(self, monkeypatch):
+    # every rule body entails an action, so no rule fires where nothing
+    # occurs: a draw steps its node only at instant 0, the occurrences and
+    # the instants read, never in the gaps between them
+    def test_a_draw_steps_only_at_its_stops(self, monkeypatch):
         dd = load_domain("coin.pec")  # its table starts cold
-        stepped, step = [], pec.engine._Table.step
+        stepped, step = set(), pec.engine._Table.step
         monkeypatch.setattr(pec.engine._Table, "step", lambda table, fid, node, i: (
-            stepped.append((table, fid, node)) or step(table, fid, node, i)))
+            stepped.add(i) or step(table, fid, node, i)))
         phi = parse_query("[Coin=Heads]@2", dd.signature)
         assert sample_frequency(dd, phi, 1000, 7) == Fraction(524, 1000)
-        assert stepped  # the toss at instant 1
-        assert [fid for table, fid, node in stepped
-                if table.quiet[fid] and node is table.nodes[fid][0]] == []
+        assert stepped == {0, 1, 2}  # the toss at 1, the read at 2
 
     # the sampler's float cuts are exact only because random() draws from
     # the lattice k / 2**53; a Python whose random() left it would fail here
@@ -1454,10 +1453,21 @@ def test_every_stored_row_conserves_mass(query_pool):
                 kind = "idle" if type(slot) is tuple else "last" if slot == sig.maxinst else "read"
                 patterns = table.patterns.get(slot, table.none) if kind != "idle" else slot
                 expected = sum(num for _, num in patterns) * (table.scale if kind != "last" else 1)
-                for row, _ in memo.values():
+                for row in memo.values():
                     assert sum(w for _, w in row) == expected
                     checked[kind] += 1
     assert min(checked.values()) > 500, checked
+
+
+def test_a_parsed_domain_steps_only_at_its_occurrences(query_pool):
+    # parsing rejects a rule body that entails no action, so no rule fires
+    # where nothing occurs: the pass and the sampler stop at the occurrence
+    # instants and maxinst alone, however long the window
+    rng = random.Random(41)
+    long = [random_domain(rng, max_maxinst=30, max_pprops=5) for _ in range(40)]
+    for dd in query_pool + long:  # the shipped examples first
+        expected = {p.instant for p in dd.pprops} | {dd.signature.maxinst}
+        assert pec.engine._compile(dd).events == expected
 
 
 # Metamorphic relations: a change to a domain that cannot change its answers
@@ -1596,7 +1606,7 @@ def test_marginal_equals_a_forward_recurrence_without_the_table():
 
 def firing_domains(rng, count, **bounds):
     """Random domains with rules, each body cut to its fluent literal, so
-    a rule fires with nothing occurring and not every fluent state is quiet."""
+    a rule fires with nothing occurring and every instant is an event."""
     found = []
     while len(found) < count:
         if (dd := random_domain(rng, **bounds)).cprops:
@@ -1628,5 +1638,6 @@ def test_samples_match_the_walk_of_every_instant(walk_pool):
             lines.append(answer(lambda: sample_frequency(dd, phi, 200, seed)))
     kinds = collections.Counter(line[0] if type(line) is tuple else "value" for line in lines)
     assert min(kinds.values()) > 20 and len(kinds) == 4, kinds
-    assert sum(not all(pec.engine._compile(dd).quiet) for dd in firing) > 40
+    assert all(pec.engine._compile(dd).events == set(range(dd.signature.maxinst + 1))
+               for dd in firing)
     assert hashlib.sha256(repr(lines).encode()).hexdigest() == SAMPLES_DIGEST
