@@ -11,14 +11,14 @@ id, residual of the query) and listing no worlds, through rows summed once
 per key and instant and shared by idle instants: its answer, the share of
 that mass on residual True, is fixed once the query is read.  Enumeration
 walks them depth first, copying a path only where it branches (a world's
-fields and traces wait for their first read); the sampler draws along
-them, stepping only at the instants it must visit; ``tset`` and
-``transition_graph`` reach them from a state dict.  The pass and the
-sampler skip each instant where nothing occurs: every rule body entails
-an action (a condition validation checks), so no rule fires there; a
-domain built without it is stepped at every instant.  ``conditional`` is
-the ratio of two forward passes, P(phi and psi) over P(psi), and walks
-the worlds only to check for a clash; ``check_world``
+fields, traces and states between stops wait for their first read); the
+sampler draws along them; ``tset`` and ``transition_graph`` reach them
+from a state dict.  The pass, the enumerator and the sampler step only at
+the table's events, skipping each instant where nothing occurs: every
+rule body entails an action (a condition validation checks), so no rule
+fires there; a domain built without it has every instant as an event.
+``conditional`` is the ratio of two forward passes, P(phi and psi) over
+P(psi), and walks the worlds only to check for a clash; ``check_world``
 stays an independent brute-force judge of the three well-behavedness
 conditions, an oracle against the enumerator.  Queries check the window
 up front; the sampler hands out only the nodes at the query's instants,
@@ -82,7 +82,7 @@ def trace_eval(tr: Trace) -> Fraction:
 
 class WeightedWorld(Record):
     """A world, its weight and its outcome groups.  An enumerated one keeps
-    the walk's raw path (``_raw``) and builds each field on its first read."""
+    the walk's path at its stops (``_raw``) and builds each field on first read."""
 
     world: FiniteWorld
     weight: Fraction
@@ -91,8 +91,8 @@ class WeightedWorld(Record):
     def __getattr__(self, name):  # only reached while a field is unbuilt
         if name not in WeightedWorld._fields or "_raw" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        sig, states, num, den, fired, outs = self._raw
-        value = (FiniteWorld(sig, tuple(map(dict, states))) if name == "world" else
+        sig, stops, states, num, den, fired, outs = self._raw
+        value = (FiniteWorld(sig, _filled(sig, stops, states)) if name == "world" else
                  Fraction(num, den) if name == "weight" else (tuple(fired), tuple(outs)))
         return self.__dict__.setdefault(name, value)
 
@@ -100,6 +100,15 @@ class WeightedWorld(Record):
     def traces(self) -> tuple[Trace, ...]:  # an outcome from each group, built on first read
         fired, groups = self.choices
         return tuple(Trace(ic, dict(zip(fired, rest))) for ic, *rest in itertools.product(*groups))
+
+
+def _filled(sig: DomainSignature, stops, states) -> tuple:
+    """Fresh state dicts at every instant from the ``states`` at ``stops``:
+    a gap holds the next stop's fluents with every action false."""
+    idle, full = dict.fromkeys(sig.actions, FALSE), []
+    for i, state in zip(stops, states):
+        full += [{**state, **idle} for _ in range(i - len(full))] + [dict(state)]
+    return tuple(full)
 
 
 class WorldReport(Record):
@@ -153,28 +162,27 @@ def narrative_eval(dd: DomainDescription, world: FiniteWorld) -> Fraction:
 
 
 def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
-    """All worlds of non-zero weight, with exact weights and traces.
+    """All worlds of non-zero weight, with exact weights summing to 1, and traces.
 
     Branches over (a) the occurrence patterns of ``_narratives``, (b) the
-    table's initial groups, and (c) the successors of its nodes, one per
-    next fluent state, depth first, so each world is reached once and a
-    path is copied only where it branches: its weight is carried down in
-    integers, and its outcome groups are kept as its ``choices``.  Each
-    world keeps the path's node state dicts, the integers and the groups,
-    and builds each of ``world`` (fresh state dicts), ``weight`` (reduced)
-    and ``choices`` on its first read.  The weights sum to exactly 1.
-    """
+    table's initial groups, and (c) the successors of its nodes, one per next
+    fluent state, depth first and only at the table's events, so each world is
+    reached once and a path is copied only where it branches: its weight is
+    carried down in integers, and its outcome groups are kept as its
+    ``choices``.  Each world keeps the path's node state dicts at the events,
+    the integers and the groups, and builds ``world`` (fresh state dicts at
+    every instant), ``weight`` (reduced) and ``choices`` on its first read."""
     sig, table = dd.signature, _compile(dd)
-    last, nodes, scale = sig.maxinst, table.nodes, table.scale
+    last, nodes, scale, events = sig.maxinst, table.nodes, table.scale, table.events
     result = []
     for masks, num, den in _narratives(table.bits, dd.pprops):
-        # (instant, weight, fluent id, states, instants fired, initial and fired outcomes)
+        # (stop index, weight, fluent id, states, instants fired, initial and fired outcomes)
         stack = [(0, num * n, den * scale, g, [], [], [outs])
                  for g, outs, n, _ in reversed(table.initial)]
         while stack:
-            i, num, den, f, states, fired, outs = stack.pop()
-            for i in range(i, last + 1):
-                node = nodes[f].get(masks[i]) or table.node(f, masks[i])
+            k, num, den, f, states, fired, outs = stack.pop()
+            for k in range(k, len(events)):
+                node = nodes[f].get(masks[i := events[k]]) or table.node(f, masks[i])
                 states.append(node[0])
                 if i == last or len(targets := node[1] or table.step(f, node, i)) > 1:
                     break
@@ -183,11 +191,11 @@ def enumerate_worlds(dd: DomainDescription) -> list[WeightedWorld]:
                     fired.append(i)
                     outs.append(o)
             if i < last:
-                stack += [(i + 1, num * n, den * scale, g, states[:], fired + [i], outs + [o])
+                stack += [(k + 1, num * n, den * scale, g, states[:], fired + [i], outs + [o])
                           for g, o, n, _ in reversed(targets)]
                 continue
             result.append(w := object.__new__(WeightedWorld))
-            w.__dict__["_raw"] = sig, states, num, den, fired, outs
+            w.__dict__["_raw"] = sig, events, states, num, den, fired, outs
     return result
 
 
@@ -225,11 +233,11 @@ class _Table:
     the initial choices alike; ``patterns[i]`` the ``(mask, numerator)`` of
     each occurrence pattern at instant i, one tuple for equal lists
     (``none`` where nothing occurs), with no denominator, as the answer is
-    a share of the carried mass; ``events`` their instants and ``maxinst``,
-    the only instants where a rule can fire when every rule body entails an
-    action, else every instant; ``queries`` the compiled form of the first
-    ``_QUERIES`` queries asked, equal stop lists one tuple (``stops``).  It
-    is kept on its domain and reads a copy of it.
+    a share of the carried mass; ``events`` the schedule every walker
+    steps by, built once: their instants and ``maxinst`` in order, the only
+    instants where a rule can fire when every rule body entails an action,
+    else ``range(maxinst + 1)``; ``queries`` the compiled form of the first
+    ``_QUERIES`` queries asked.  It is kept on its domain and reads a copy.
     Ids are assigned under a lock and every other entry is published by one
     store, so calls may share a table."""
 
@@ -240,7 +248,7 @@ class _Table:
         self.scale = math.lcm(*(o.weight.denominator for c in (*dd.cprops, dd.iprop)
                                 for o in c.head))
         self.ids, self.fluents, self.nodes = {}, [], []
-        self.queries, self.stops = {}, {}  # phi -> compiled form; stop list -> itself
+        self.queries = {}  # phi -> compiled form
         self.initial = self.targets({}, dd.iprop.head)
         occurring = defaultdict(list)  # instant -> the occurrences at it
         for p in dd.pprops:
@@ -250,22 +258,22 @@ class _Table:
         for i, ps in occurring.items():
             ps = tuple([(masks.get(i, 0), num) for masks, num, _ in _narratives(self.bits, ps)])
             self.patterns[i] = lists.setdefault(ps, ps)
-        self.events = {*self.patterns, sig.maxinst}
+        self.events = tuple(sorted({*self.patterns, sig.maxinst}))
         if not all(any(herbrand_entails(c.body, Lit(a, TRUE)) for a in sig.actions)
                    for c in dd.cprops):  # a rule may fire where nothing occurs
-            self.events = set(range(sig.maxinst + 1))
+            self.events = range(sig.maxinst + 1)
 
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
-        ``at`` and step, the sorted stops (events and phi's instants; the
-        first ``_QUERIES`` distinct lists interned), phi's last instant, and
-        the forward pass's rows by slot and key (see ``marginal``), its
-        steps' only memo."""
+        ``at`` and step, the sorted stops (``events`` itself when phi reads
+        only events, else their own tuple with phi's instants), phi's last
+        instant, and the forward pass's rows by slot and key (see
+        ``marginal``), its steps' only memo."""
         if (known := self.queries.get(phi)) is None:
             at, progress = progression(phi, self.rules.signature.maxinst)
-            stops = tuple(sorted({*self.events, *at}))
-            if len(self.stops) < _QUERIES:
-                stops = self.stops.setdefault(stops, stops)
+            stops = self.events
+            if not all(i in stops for i in at):
+                stops = tuple(sorted({*stops, *at}))
             known = at, progress, stops, max(at), {}
             known = self.queries.setdefault(phi, known) if len(self.queries) < _QUERIES else known
         return known

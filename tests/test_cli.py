@@ -469,6 +469,21 @@ class TestSample:
             0, "samples   10\nfrequency 0.400000\nexact     0.250000\n", "")
         assert elapsed < 1.0, f"sampling the huge window took {elapsed:.2f} s"
 
+    def test_a_huge_window_conditions_like_its_short_twin(self, capsys, tmp_path):
+        # conditional's clash check enumerates the worlds at the events
+        # alone, so 10**9 instants print what 3 do
+        body = ("fluent F takes-values {a, b}\naction A\ninitially-one-of {({F=a}, 1)}\n"
+                "A causes-one-of {({F=b}, 1/2), ({F=a}, 1/2)}\nA performed-at 1 with-prob 1/2\n")
+        for maxinst in (3, 10**9):
+            path = tmp_path / f"window{maxinst}.pec"
+            path.write_text(f"maxinst {maxinst}\n{body}")
+            start = time.process_time()
+            printed = run(capsys, "query", str(path), "-q", f"[F=b]@{maxinst}",
+                          "--given", "[A]@1", "--exact")
+            elapsed = time.process_time() - start
+            assert printed == (0, "1/2\n", "")
+            assert elapsed < 1.0, f"conditioning on {maxinst} instants took {elapsed:.2f} s"
+
     def test_zero_count(self, capsys):
         code, _, err = run(capsys, "sample", COIN, "-n", "0", "-q",
                            "[Coin=Heads]@2")
