@@ -329,15 +329,17 @@ def eval_formula(state: Mapping[str, str], phi: Formula) -> bool:
     return fold(phi, lambda lit: _holds(state, lit.subject, lit.value), _TRUTH)
 
 
-def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula) -> bool:
+def satisfies(states: Sequence[Mapping[str, str]], phi: IFormula, last: int | None = None) -> bool:
     """Satisfaction of an i-formula by a finite world, in one fold.
 
-    ``states`` is the world's state sequence indexed by instant.  An
+    ``states`` maps each instant read to its state: the world's state
+    sequence, or any mapping with the window's end ``last`` given.  An
     i-literal ``[L]@I`` holds iff ``L`` is in the state at instant ``I``,
     and raises RangeError past the window; connectives are structural.
     """
-    return fold(phi, lambda il: _holds(states[_window(il.instant, len(states) - 1)],
-                                       il.subject, il.value), _TRUTH)
+    last = len(states) - 1 if last is None else last
+    return fold(phi, lambda il: _holds(states[_window(il.instant, last)], il.subject, il.value),
+                _TRUTH)
 
 
 def progression(phi: IFormula, maxinst: int):

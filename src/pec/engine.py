@@ -21,9 +21,9 @@ fires there; a domain built without it has every instant as an event.
 P(psi), and walks the worlds only to check for a clash; ``check_world``
 stays an independent brute-force judge of the three well-behavedness
 conditions, an oracle against the enumerator.  Queries check the window
-up front; the sampler hands out only the nodes at the query's instants,
-folds the query once per distinct tuple of them and leaves the window to
-``satisfies``.
+up front; the sampler runs every draw of a call in one loop, keeps only
+the nodes at the query's instants and folds the query once per distinct
+tuple of them, handing ``satisfies`` the window's end.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ class _Table:
             found.setdefault(self.fluent_id({**base, **o.effect}), []).append(o)
         weights = [sum(o.weight.numerator * (self.scale // o.weight.denominator) for o in outs)
                    for outs in found.values()]
-        return tuple((g, tuple(outs), n, _cut(Fraction(t, self.scale))) for (g, outs), n, t
+        return tuple((g, tuple(outs), n, _cut(t, self.scale)) for (g, outs), n, t
                      in zip(found.items(), weights, itertools.accumulate(weights)))
 
     def moves(self, state: Mapping[str, str]) -> tuple:
@@ -313,12 +313,12 @@ class _Table:
         return node[1] or self.step(fid, node, None)
 
 
-def _cut(x: Fraction) -> float:
-    """A float c with ``r < c`` exactly when ``r < x`` for each ``r =
+def _cut(n: int, d: int) -> float:
+    """A float c with ``r < c`` exactly when ``r < n / d`` for each ``r =
     random.random()``: r is k / 2**53 for an integer k, and k / 2**53 <
     n / d exactly when k < ceil(n * 2**53 / d), a bound that over 2**53
     (capped at 1) is an exact float."""
-    return min(-(-x.numerator * 2**53 // x.denominator), 2**53) / 2**53
+    return min(-(-n * 2**53 // d), 2**53) / 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,8 @@ def indistinguishable_up_to(w: FiniteWorld, w2: FiniteWorld,
 
 def sample_world(dd: DomainDescription, seed: int) -> FiniteWorld:
     """Draw one world; well-behaved by construction, fixed per seed."""
-    return FiniteWorld(dd.signature, tuple(map(dict, _sampler(dd)(random.Random(seed)))))
+    states = _draws(dd, range(dd.signature.maxinst + 1), 1, seed)[1]
+    return FiniteWorld(dd.signature, tuple(map(dict, states)))
 
 
 def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
@@ -523,81 +524,66 @@ def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
     """Empirical frequency of ``phi`` over ``count`` sampled worlds.
 
     Phi's truth in a world depends only on its states at phi's instants,
-    and a draw hands out just the table's node dicts there, which live as
-    long as the table: so ``satisfies`` folds phi once per distinct tuple
-    of them, and later draws through the same nodes reuse its verdict (for
-    the first ``_VERDICTS`` tuples).  Instants outside the window are not
-    kept, so the first ``satisfies`` reports them, after the first draw."""
+    and a draw keeps just the table's node dicts there, which live as long
+    as the table: so ``satisfies`` folds phi once per distinct tuple of
+    them, and later draws through the same nodes reuse its verdict (for the
+    first ``_VERDICTS`` tuples).  Instants outside the window are not kept,
+    so the first ``satisfies`` reports them, after the first draw."""
     if count <= 0:
         raise ValueError("sample count must be positive")
     last, reads = dd.signature.maxinst, {}
     fold(phi, lambda il: 0 <= il.instant <= last and reads.setdefault(il.instant), _NO_VALUE)
-    rng, draw, reads = random.Random(seed), _sampler(dd, reads), sorted(reads)
-    states = _Held(last)  # the nodes of the latest folded draw at phi's instants
-    verdicts: dict[tuple, bool] = {}  # node ids at the instants read -> phi's truth
-    hits = 0
-    for _ in range(count):
-        drawn = draw(rng)
-        if (verdict := verdicts.get(key := tuple(map(id, drawn)))) is None:
-            states.update(zip(reads, drawn))
-            verdict = satisfies(states, phi)
-            if len(verdicts) < _VERDICTS:
-                verdicts[key] = verdict
-        hits += verdict
-    return Fraction(hits, count)
+    return Fraction(_draws(dd, sorted(reads), count, seed, phi)[0], count)
 
 
-class _Held(dict):
-    """States by instant, read by ``satisfies`` as the window's sequence."""
-
-    def __init__(self, maxinst: int):
-        self.size = maxinst + 1
-
-    def __len__(self) -> int:
-        return self.size
-
-
-def _sampler(dd: DomainDescription, keep=None):
-    """``draw(rng)``: the states of one world at the instants in ``keep``
-    (all by default), in order, each choice a single ``rng.random()``
-    compared against the ``_cut`` of a probability or running total, which
-    decides as the exact ``Fraction`` would (the last choice when none
-    exceeds it); certain occurrences and single-target steps draw nothing.
-    A draw steps only at its stops (instant 0, the table's events and the
-    kept instants, below ``maxinst``) and carries its fluent state across
-    the gaps, where no rule fires.  It hands out the nodes' state dicts."""
+def _draws(dd: DomainDescription, keep, count: int, seed: int, phi=None) -> tuple:
+    """The draws of one call, in one loop: how many of ``count`` worlds
+    satisfy ``phi`` (when given), and the last one's node state dicts at
+    the sorted instants ``keep``.  Each choice is a single ``random()`` of
+    the seeded stream compared against the ``_cut`` of a probability or
+    running total, which decides as the exact ``Fraction`` would (the last
+    choice when none exceeds it); certain occurrences and single-target
+    steps draw nothing.  A draw steps only at its stops (instant 0, the
+    table's events and the kept instants, below ``maxinst``), a plan of
+    ``(stop index, kept?, instant)``, and carries its fluent state across
+    the gaps, where no rule fires."""
     last, table = dd.signature.maxinst, _compile(dd)
-    nodes, keep = table.nodes, range(last + 1) if keep is None else keep
+    nodes, initial, tail = table.nodes, table.initial, last in keep
     stops = sorted({0, *keep, *table.events} - {last})  # events: the occurrences and maxinst
-    at, kept = {i: k for k, i in enumerate(stops)}, [i in keep for i in stops]
+    at = {i: k for k, i in enumerate(stops)}
+    plan = [(k, i in keep, i) for k, i in enumerate(stops)]
     sure = [0] * len(stops)
     for p in dd.pprops:
         sure[at[p.instant]] |= table.bits[p.action] if p.prob == 1 else 0
-    occurs = [(table.bits[p.action], at[p.instant], _cut(p.prob))
+    occurs = [(table.bits[p.action], at[p.instant], _cut(p.prob.numerator, p.prob.denominator))
               for p in dd.pprops if p.prob != 1]
-
-    def draw(rng: random.Random) -> list[dict[str, str]]:
-        draw_random, on, states = rng.random, sure[:], []
+    draw_random, verdicts, hits = random.Random(seed).random, {}, 0
+    for _ in range(count):
+        on, states = sure[:], []
         for bit, k, cut in occurs:
             if draw_random() < cut:
                 on[k] |= bit
         r = draw_random()
-        for g, _, _, cut in table.initial:  # the first cut above r, else the last
+        for g, _, _, cut in initial:  # the first cut above r, else the last
             if r < cut:
                 break
-        for k, mask in enumerate(on):
-            node = nodes[g].get(mask) or table.node(g, mask)
-            if kept[k]:
+        for k, kept, i in plan:
+            node = nodes[g].get(on[k]) or table.node(g, on[k])
+            if kept:
                 states.append(node[0])
-            if len(steps := node[1] or table.step(g, node, stops[k])) > 1:
+            if len(steps := node[1] or table.step(g, node, i)) > 1:
                 r = draw_random()
                 for g, _, _, cut in steps:
                     if r < cut:
                         break
             else:
                 g = steps[0][0]
-        if last in keep:  # nothing occurs at maxinst and no move leaves it
+        if tail:  # nothing occurs at maxinst and no move leaves it
             states.append(nodes[g][0][0])
-        return states
-
-    return draw
+        if phi is not None:  # the node tuple's verdict, folded on its first draw
+            if (verdict := verdicts.get(key := tuple(map(id, states)))) is None:
+                verdict = satisfies(dict(zip(keep, states)), phi, last)
+                if len(verdicts) < _VERDICTS:
+                    verdicts[key] = verdict
+            hits += verdict
+    return hits, states

@@ -469,6 +469,19 @@ class TestSample:
             0, "samples   10\nfrequency 0.400000\nexact     0.250000\n", "")
         assert elapsed < 1.0, f"sampling the huge window took {elapsed:.2f} s"
 
+    @pytest.mark.parametrize("maxinst", [2**63 - 1, 10**20 - 1])
+    def test_a_window_past_an_index_samples_like_its_short_twin(self, capsys, tmp_path,
+                                                                maxinst):
+        # satisfies gets the window's end as an int, not as a sequence's
+        # length, so a maxinst past the largest index prints what 10**9 does
+        body = ("fluent F takes-values {a, b}\naction A\ninitially-one-of {({F=a}, 1)}\n"
+                "A causes-one-of {({F=b}, 1/2), ({F=a}, 1/2)}\nA performed-at 1 with-prob 1/2\n")
+        path = tmp_path / "window.pec"
+        path.write_text(f"maxinst {maxinst}\n{body}")
+        for query in ("[F=b]@2", f"[F=b]@{maxinst - 1}"):
+            assert run(capsys, "sample", str(path), "-n", "10", "--seed", "1", "-q", query) == (
+                0, "samples   10\nfrequency 0.400000\nexact     0.250000\n", "")
+
     def test_a_huge_window_conditions_like_its_short_twin(self, capsys, tmp_path):
         # conditional's clash check enumerates the worlds at the events
         # alone, so 10**9 instants print what 3 do
