@@ -465,7 +465,7 @@ class Outcome(Record):
         if type(weight := self.weight) is not Fraction:
             object.__setattr__(self, "weight", weight := Fraction(weight))
         if not 0 < weight.numerator <= weight.denominator:  # 0 < weight <= 1
-            raise PecError(f"probability {weight} outside [0,1]" if weight.numerator
+            raise PecError(f"probability {fraction_text(weight)} outside [0,1]" if weight.numerator
                            else "probability must be strictly positive")
 
 

@@ -13,17 +13,18 @@ that mass on residual True, is fixed once the query is read.  Enumeration
 walks them depth first, copying a path only where it branches (a world's
 fields, traces and states between stops wait for their first read); the
 sampler draws along them; ``tset`` and ``transition_graph`` reach them
-from a state dict.  The pass, the enumerator and the sampler step only at
-the table's events, skipping each instant where nothing occurs: every
-rule body entails an action (a condition validation checks), so no rule
-fires there; a domain built without it has every instant as an event.
+from a state dict.  Every walker steps at the table's ``stops``: its events
+(the occurrence instants and ``maxinst``) and the instants the walker reads.
+Between them nothing occurs, and every rule body entails an action (a
+condition validation checks), so no rule fires there; a domain built
+without it has every instant as an event.  At ``maxinst``, the last stop,
+a walker reads the node under its own occurrences, and no move leaves it.
 ``conditional`` is the ratio of two forward passes, P(phi and psi) over
 P(psi), and walks the worlds only to check for a clash; ``check_world``
 stays an independent brute-force judge of the three well-behavedness
 conditions, an oracle against the enumerator.  Queries check the window
-up front; the sampler runs every draw of a call in one loop, keeps only
-the nodes at the query's instants and folds the query once per distinct
-tuple of them, handing ``satisfies`` the window's end.
+up front; the sampler runs every draw of a call in one loop and folds the
+query once per distinct tuple of the nodes at its instants.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .core import (_NO_VALUE, And, ConcurrentActivation, ConditionZero, DomainSignature, FALSE,
-                   IFormula, Lit, Outcome, Record, TRUE, eval_formula, fold, herbrand_entails,
-                   outcomes_weight, progression, replace, satisfies, update)
+                   IFormula, Lit, Outcome, PecError, Record, SignatureError, TRUE, _window,
+                   eval_formula, fold, fraction_text, herbrand_entails, outcomes_weight,
+                   progression, replace, satisfies, update)
 from .syntax import CProp, DomainDescription, HProposition
 
 # node tuples whose verdict one sample_frequency call keeps: a query over
@@ -233,13 +235,14 @@ class _Table:
     the initial choices alike; ``patterns[i]`` the ``(mask, numerator)`` of
     each occurrence pattern at instant i, one tuple for equal lists
     (``none`` where nothing occurs), with no denominator, as the answer is
-    a share of the carried mass; ``events`` the schedule every walker
-    steps by, built once: their instants and ``maxinst`` in order, the only
-    instants where a rule can fire when every rule body entails an action,
-    else ``range(maxinst + 1)``; ``queries`` the compiled form of the first
-    ``_QUERIES`` queries asked.  It is kept on its domain and reads a copy.
-    Ids are assigned under a lock and every other entry is published by one
-    store, so calls may share a table."""
+    a share of the carried mass; ``events``, built once, the schedule that
+    ``stops`` merges a walker's instants into: their instants and ``maxinst``
+    in order, the only instants where a rule can fire when every rule body
+    entails an action, else ``range(maxinst + 1)``; ``queries`` the compiled
+    form of the first ``_QUERIES`` queries asked.  It refuses a narrative the
+    validator would (bar an occurrence at ``maxinst``), is kept on its domain
+    and reads a copy.  Ids are assigned under a lock and every other entry is
+    published by one store, so calls may share a table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -250,13 +253,20 @@ class _Table:
         self.ids, self.fluents, self.nodes = {}, [], []
         self.queries = {}  # phi -> compiled form
         self.initial = self.targets({}, dd.iprop.head)
-        occurring = defaultdict(list)  # instant -> the occurrences at it
-        for p in dd.pprops:
-            occurring[p.instant].append(p)
+        occurring = defaultdict(dict)  # instant -> action -> its occurrence
+        for p in dd.pprops:  # the validator's checks, but maxinst is an instant like any
+            if p.action not in self.bits:
+                raise SignatureError(f"unknown action {p.action}")
+            if p.action in (here := occurring[_window(p.instant, sig.maxinst)]):
+                raise PecError(f"duplicate occurrence of {p.action} at instant {p.instant}")
+            if not 0 < p.prob.numerator <= p.prob.denominator:
+                raise PecError(f"occurrence probability {fraction_text(p.prob)} outside (0,1]")
+            here[p.action] = p
         self.none, self.patterns = ((0, 1),), {}  # the pattern list of no occurrence
         lists = {self.none: self.none}  # equal pattern lists are one tuple
         for i, ps in occurring.items():
-            ps = tuple([(masks.get(i, 0), num) for masks, num, _ in _narratives(self.bits, ps)])
+            ps = tuple([(masks.get(i, 0), num)
+                        for masks, num, _ in _narratives(self.bits, ps.values())])
             self.patterns[i] = lists.setdefault(ps, ps)
         self.events = tuple(sorted({*self.patterns, sig.maxinst}))
         if not all(any(herbrand_entails(c.body, Lit(a, TRUE)) for a in sig.actions)
@@ -265,18 +275,18 @@ class _Table:
 
     def query(self, phi: IFormula) -> tuple:
         """Phi compiled once (a RangeError stores nothing): ``progression``'s
-        ``at`` and step, the sorted stops (``events`` itself when phi reads
-        only events, else their own tuple with phi's instants), phi's last
-        instant, and the forward pass's rows by slot and key (see
-        ``marginal``), its steps' only memo."""
+        ``at`` and step, ``stops(at)``, phi's last instant, and the forward
+        pass's rows by slot and key (see ``marginal``), its steps' only memo."""
         if (known := self.queries.get(phi)) is None:
             at, progress = progression(phi, self.rules.signature.maxinst)
-            stops = self.events
-            if not all(i in stops for i in at):
-                stops = tuple(sorted({*stops, *at}))
-            known = at, progress, stops, max(at), {}
+            known = at, progress, self.stops(at), max(at), {}
             known = self.queries.setdefault(phi, known) if len(self.queries) < _QUERIES else known
         return known
+
+    def stops(self, instants):
+        """The events with ``instants`` merged in (``events`` if it has them all)."""
+        events = self.events
+        return events if all(i in events for i in instants) else tuple(sorted({*events, *instants}))
 
     def fluent_id(self, fluents: Mapping[str, str]) -> int:
         key = tuple([fluents[f] for f in self.names])
@@ -381,13 +391,12 @@ def marginal(dd: DomainDescription, phi: IFormula) -> Fraction:
     literals so far are put in).  The weights sum to 1, so the answer is
     the share of the carried mass on residual True, fixed at phi's last
     instant; from there the keys go on with mass 0, so a later clash still
-    raises and no integer grows.  It steps only at its stops (the table's
-    events and phi's instants): between them nothing occurs, so no rule
-    fires and every fluent state stays.  A key's row (its next keys, weights
-    summed over patterns and targets) is built on first reach, a clash
-    storing nothing, and kept by slot: the instant where phi reads and at
-    ``maxinst``, else the interned pattern list, so idle instants share one
-    row per key.  A repeated call only sums rows."""
+    raises and no integer grows.  It steps at the table's ``stops`` of
+    phi's instants.  A key's row (its next keys, weights summed over
+    patterns and targets) is built on first reach, a clash storing nothing,
+    and kept by slot: the instant where phi reads and at ``maxinst``, else
+    the interned pattern list, so idle instants share one row per key.  A
+    repeated call only sums rows."""
     last, table = dd.signature.maxinst, _compile(dd)
     at, progress, stops, decided, rows = table.query(phi)
     nodes, mass = table.nodes, {(g, phi): n for g, _, n, _ in table.initial}
@@ -514,18 +523,19 @@ def indistinguishable_up_to(w: FiniteWorld, w2: FiniteWorld,
 
 
 def sample_world(dd: DomainDescription, seed: int) -> FiniteWorld:
-    """Draw one world; well-behaved by construction, fixed per seed."""
-    states = _draws(dd, range(dd.signature.maxinst + 1), 1, seed)[1]
-    return FiniteWorld(dd.signature, tuple(map(dict, states)))
+    """Draw one world; well-behaved by construction, fixed per seed, kept at
+    the table's events and filled in between them by ``_filled``."""
+    sig, events = dd.signature, _compile(dd).events
+    return FiniteWorld(sig, _filled(sig, events, _draws(dd, events, 1, seed)[1]))
 
 
 def sample_frequency(dd: DomainDescription, phi: IFormula, count: int,
                      seed: int) -> Fraction:
     """Empirical frequency of ``phi`` over ``count`` sampled worlds.
 
-    Phi's truth in a world depends only on its states at phi's instants,
-    and a draw keeps just the table's node dicts there, which live as long
-    as the table: so ``satisfies`` folds phi once per distinct tuple of
+    A draw stops where the forward pass for phi does, and keeps the table's
+    node dicts (alive as long as the table) at phi's instants, all phi's
+    truth depends on: so ``satisfies`` folds phi once per distinct tuple of
     them, and later draws through the same nodes reuse its verdict (for the
     first ``_VERDICTS`` tuples).  Instants outside the window are not kept,
     so the first ``satisfies`` reports them, after the first draw."""
@@ -543,15 +553,13 @@ def _draws(dd: DomainDescription, keep, count: int, seed: int, phi=None) -> tupl
     the seeded stream compared against the ``_cut`` of a probability or
     running total, which decides as the exact ``Fraction`` would (the last
     choice when none exceeds it); certain occurrences and single-target
-    steps draw nothing.  A draw steps only at its stops (instant 0, the
-    table's events and the kept instants, below ``maxinst``), a plan of
-    ``(stop index, kept?, instant)``, and carries its fluent state across
-    the gaps, where no rule fires."""
+    steps draw nothing.  A draw steps at the table's ``stops(keep)``, by a
+    plan of ``(stop index, kept?, instant)``, and moves out of every stop
+    but the last, ``maxinst``."""
     last, table = dd.signature.maxinst, _compile(dd)
-    nodes, initial, tail = table.nodes, table.initial, last in keep
-    stops = sorted({0, *keep, *table.events} - {last})  # events: the occurrences and maxinst
+    nodes, initial, stops, wanted = table.nodes, table.initial, table.stops(keep), {*keep}
     at = {i: k for k, i in enumerate(stops)}
-    plan = [(k, i in keep, i) for k, i in enumerate(stops)]
+    *plan, (end, kept_end, _) = [(k, i in wanted, i) for k, i in enumerate(stops)]
     sure = [0] * len(stops)
     for p in dd.pprops:
         sure[at[p.instant]] |= table.bits[p.action] if p.prob == 1 else 0
@@ -567,7 +575,7 @@ def _draws(dd: DomainDescription, keep, count: int, seed: int, phi=None) -> tupl
         for g, _, _, cut in initial:  # the first cut above r, else the last
             if r < cut:
                 break
-        for k, kept, i in plan:
+        for k, kept, i in plan:  # every stop but the last, maxinst
             node = nodes[g].get(on[k]) or table.node(g, on[k])
             if kept:
                 states.append(node[0])
@@ -578,8 +586,8 @@ def _draws(dd: DomainDescription, keep, count: int, seed: int, phi=None) -> tupl
                         break
             else:
                 g = steps[0][0]
-        if tail:  # nothing occurs at maxinst and no move leaves it
-            states.append(nodes[g][0][0])
+        if kept_end:  # maxinst, under its own occurrences: no move leaves it
+            states.append((nodes[g].get(on[end]) or table.node(g, on[end]))[0])
         if phi is not None:  # the node tuple's verdict, folded on its first draw
             if (verdict := verdicts.get(key := tuple(map(id, states)))) is None:
                 verdict = satisfies(dict(zip(keep, states)), phi, last)

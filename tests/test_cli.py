@@ -505,6 +505,14 @@ class TestSample:
 
 
 class TestReadme:
+    def test_library_example_runs(self, capsys, monkeypatch):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(ROOT)
+        exec(compile(block, "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        assert out.endswith("\n" + (GOLDEN / "coin.lp").read_text() + "\n")
+
     def test_commands_with_stated_output_are_found(self):
         assert [argv[0] for argv, _ in README_COMMANDS] == \
             ["query"] * 3 + ["sample", "query"]

@@ -382,6 +382,9 @@ class TestOutcomes:
         (Fraction(3, 2), "probability 3/2 outside [0,1]"),
         (Fraction(-1), "probability -1 outside [0,1]"),
         (Fraction(0), "probability must be strictly positive"),
+        pytest.param(Fraction(10**5000 + 1, 10**5000),
+                     "probability 1" + "0" * 4999 + "1/1" + "0" * 5000 + " outside [0,1]",
+                     id="past-the-digit-limit"),
     ])
     def test_weight_messages(self, weight, message):
         with pytest.raises(PecError) as err:

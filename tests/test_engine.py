@@ -309,6 +309,21 @@ def walk_pool(coin, antibiotic, keys):
     return [coin, antibiotic, keys] + [random_domain(rng) for _ in range(300)]
 
 
+@pytest.fixture(scope="module")
+def late_pool():
+    """100 API-built domains with one more occurrence, at ``maxinst``, which
+    a parsed narrative cannot hold: some certain, some uncertain."""
+    rng, late = random.Random(37), []
+    while len(late) < 100:
+        dd = random_domain(rng)
+        sig = dd.signature
+        if sig.actions:
+            prob = rng.choice([Fraction(1), Fraction(1, 2), Fraction(3, 10)])
+            late.append(replace(dd, pprops=dd.pprops + (
+                PProp(rng.choice(sig.actions), sig.maxinst, prob),)))
+    return late
+
+
 def clash_twins(count, **bounds):
     """Random domains plus one rule whose body is a single literal, so
     some reachable states activate two rules."""
@@ -362,12 +377,12 @@ def head_index(dd, world, trace):
 
 
 class TestGroupedWalk:
-    def test_each_world_once_with_factored_weight(self, walk_pool):
+    def test_each_world_once_with_factored_weight(self, walk_pool, late_pool):
         # the long sparse windows are walked at their events alone: the
         # oracle judges the states filled in between them
         rng = random.Random(42)
         sparse = [random_domain(rng, max_maxinst=40, max_pprops=3) for _ in range(40)]
-        for dd in walk_pool + sparse:
+        for dd in walk_pool + sparse + late_pool:
             worlds = enumerate_worlds(dd)
             assert len({w.world.key() for w in worlds}) == len(worlds)
             for w in worlds:
@@ -391,9 +406,9 @@ class TestGroupedWalk:
                 assert sum(w.weight for w in worlds) == 1
         assert raised > 20
 
-    def test_queries_equal_sums_over_worlds(self, walk_pool):
+    def test_queries_equal_sums_over_worlds(self, walk_pool, late_pool):
         rng = random.Random(12)
-        for dd in walk_pool:
+        for dd in walk_pool + late_pool:
             worlds = enumerate_worlds(dd)
             for _ in range(4):
                 phi = random_iformula(rng, dd.signature)
@@ -800,6 +815,34 @@ class TestQueries:
         with pytest.raises(RangeError, match="instant 4 outside"):
             marginal(coin, And(unknown, late))
 
+    # what the validator refuses in a parsed narrative every walker refuses
+    # in an API-built one, and stores no table; maxinst, which no parsed
+    # occurrence can name, is an instant like any other (see late_pool)
+    @pytest.mark.parametrize("extra,error,message", [
+        ((PProp("Nope", 1, Fraction(1)),), SignatureError, "unknown action Nope"),
+        ((PProp("Toss", -1, Fraction(1)),), RangeError, "instant -1 outside the window 0..3"),
+        ((PProp("Toss", 5, Fraction(1, 2)),), RangeError, "instant 5 outside the window 0..3"),
+        ((PProp("Toss", 2, Fraction(1, 2)),) * 2, PecError,
+         "duplicate occurrence of Toss at instant 2"),
+        ((PProp("Toss", 1, Fraction(1, 2)),), PecError,
+         "duplicate occurrence of Toss at instant 1"),
+        ((PProp("Toss", 2, Fraction(3, 2)),), PecError,
+         "occurrence probability 3/2 outside (0,1]"),
+        ((PProp("Toss", 2, Fraction(0)),), PecError, "occurrence probability 0 outside (0,1]"),
+    ], ids=["action", "before", "after", "twice", "again", "above", "zero"])
+    def test_a_narrative_off_the_schedule_is_refused(self, coin, extra, error, message):
+        phi, psi = ILit("Coin", "Heads", 3), ILit("Toss", TRUE, 1)
+        walkers = [lambda d: marginal(d, phi), lambda d: conditional(d, phi, psi),
+                   enumerate_worlds, lambda d: sample_frequency(d, phi, 10, 1),
+                   lambda d: sample_world(d, 1), transition_graph]
+        warm = replace(coin, pprops=coin.pprops + extra)  # met by each walker after the last
+        for walker in walkers:
+            for dd in (replace(coin, pprops=coin.pprops + extra), warm):
+                with pytest.raises(PecError) as err:
+                    walker(dd)
+                assert (type(err.value), str(err.value)) == (error, message)
+                assert "_table" not in vars(dd)
+
 
 class TestTransitions:
     def test_tset_merging_targets(self, antibiotic):
@@ -970,17 +1013,17 @@ class TestSampling:
             for seed in range(20):
                 assert weights.get(sample_world(dd, seed).key(), 0) > 0
 
-    def test_samples_match_the_exact_reference(self, walk_pool):
-        for dd in walk_pool:
+    def test_samples_match_the_exact_reference(self, walk_pool, late_pool):
+        for dd in walk_pool + late_pool:
             for seed in range(20):
                 assert sample_world(dd, seed) == reference_sample(dd, random.Random(seed))
 
     # one stream across all draws of a call: a sampler that drew out of
     # order between samples, or carried state wrongly from one to the next,
     # would part from the reference here though each world alone agrees
-    def test_frequencies_match_the_reference_over_one_stream(self, walk_pool):
+    def test_frequencies_match_the_reference_over_one_stream(self, walk_pool, late_pool):
         rng = random.Random(17)
-        for dd in walk_pool:
+        for dd in walk_pool + late_pool:
             sig = dd.signature
             single = at_instant(random_formula(rng, sig), rng.randint(0, sig.maxinst))
             for phi in (single, random_iformula(rng, sig)):
@@ -1022,8 +1065,8 @@ class TestSampling:
         assert 1 <= len(calls) <= 2  # coin reaches instant 2 as Heads or as Tails
 
     # every rule body entails an action, so no rule fires where nothing
-    # occurs: a draw steps its node only at instant 0, the occurrences and
-    # the instants read, never in the gaps between them
+    # occurs: a draw steps its node only at the occurrences and the
+    # instants read, never in the gaps between them nor out of maxinst
     def test_a_draw_steps_only_at_its_stops(self, monkeypatch):
         dd = load_domain("coin.pec")  # its table starts cold
         stepped, step = set(), pec.engine._Table.step
@@ -1031,7 +1074,7 @@ class TestSampling:
             stepped.add(i) or step(table, fid, node, i)))
         phi = parse_query("[Coin=Heads]@2", dd.signature)
         assert sample_frequency(dd, phi, 1000, 7) == Fraction(524, 1000)
-        assert stepped == {0, 1, 2}  # the toss at 1, the read at 2
+        assert stepped == {1, 2}  # the toss at 1, the read at 2
 
     # the sampler's float cuts are exact only because random() draws from
     # the lattice k / 2**53; a Python whose random() left it would fail here
