@@ -9,15 +9,15 @@ form, read off ``core.open_branches``.  Probabilities are carried as
 reduced-fraction tokens (``49/100``) inside terms; evaluating them is the
 downstream consumer's concern.  Clauses are plain tuples of strings.
 
-Identifiers are emitted with their first letter lowercased, following
-logic programming convention; outcome constants are ``id_N_J`` where N
-numbers the causal rules in declaration order (0 for the initial
-distribution) and J the outcome within its head.
+Names and value sets come from the signature alone, each name with its
+first letter lowercased (logic programming convention); outcome
+constants are ``id_N_J`` where N numbers the causal rules in declaration
+order (0 for the initial distribution) and J the outcome within its head.
 """
 
 from __future__ import annotations
 
-from .core import Formula, Lit, PecError, open_branches
+from .core import FALSE, TRUE, Formula, Lit, PecError, fraction_text, open_branches
 from .syntax import DomainDescription
 
 
@@ -25,35 +25,22 @@ class TranslationError(PecError):
     """The description cannot be rendered (identifier collision)."""
 
 
-def _mangle(name: str) -> str:
-    return name[0].lower() + name[1:]
-
-
 def _name_map(dd: DomainDescription) -> dict[str, str]:
-    """Lowercase-initial renaming of symbols and values, collision-checked."""
+    """The renaming of ``true``, ``false``, the symbols and every fluent's
+    values (first letter lowercased), checked for collisions among the
+    symbols, then among each fluent's values."""
     sig = dd.signature
-    mapping: dict[str, str] = {}
-    seen: dict[str, str] = {}
-    for symbol in sig.symbols:
-        mangled = _mangle(symbol)
-        if mangled in seen:
-            raise TranslationError(
-                f"{symbol} and {seen[mangled]} collide as {mangled}")
-        seen[mangled] = symbol
-        mapping[symbol] = mangled
-    for fluent in sig.fluents:
-        per_fluent: dict[str, str] = {}
-        for value in sig.vals[fluent]:
-            mangled = _mangle(value)
-            if mangled in per_fluent:
+    spaces = [(sig.symbols, "", "")] + [(sig.vals[f], "values ", f" of {f}") for f in sig.fluents]
+    names = {TRUE: TRUE, FALSE: FALSE}
+    names.update({name: name[0].lower() + name[1:] for space, _, _ in spaces for name in space})
+    for space, prefix, suffix in spaces:
+        seen: dict[str, str] = {}
+        for name in space:
+            if (mangled := names[name]) in seen:
                 raise TranslationError(
-                    f"values {value} and {per_fluent[mangled]} of {fluent} "
-                    f"collide as {mangled}")
-            per_fluent[mangled] = value
-            mapping.setdefault(value, mangled)
-    mapping.setdefault("true", "true")
-    mapping.setdefault("false", "false")
-    return mapping
+                    f"{prefix}{name} and {seen[mangled]}{suffix} collide as {mangled}")
+            seen[mangled] = name
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +78,9 @@ def translate(dd: DomainDescription) -> tuple[str, ...]:
         clauses.append(f"action({names[a]}).")
     clauses.append("instant(0..maxinst).")
 
-    for v in dd.vprops:
-        for value in v.values:
-            clauses.append(f"possVal({names[v.fluent]}, {names[value]}).")
+    for f in sig.fluents:
+        for value in sig.vals[f]:
+            clauses.append(f"possVal({names[f]}, {names[value]}).")
 
     # the initial distribution is rule 0
     for n, c in enumerate((dd.iprop, *dd.cprops)):
@@ -103,16 +90,15 @@ def translate(dd: DomainDescription) -> tuple[str, ...]:
             for subject, value in outcome.effect.items():
                 clauses.append(
                     f"belongsTo(({names[subject]},{names[value]}), {oid}).")
+            weight = fraction_text(outcome.weight)
             if n == 0:
-                clauses.append(f"initialCondition(({oid}, {outcome.weight})).")
+                clauses.append(f"initialCondition(({oid}, {weight})).")
             elif body is not None:
-                clauses.append(
-                    f"causesOutcome(({oid}, {outcome.weight}), I)"
-                    f" :- {body}.")
+                clauses.append(f"causesOutcome(({oid}, {weight}), I) :- {body}.")
 
     for p in dd.pprops:
         clauses.append(
-            f"performed({names[p.action]},{p.instant},{p.prob}).")
+            f"performed({names[p.action]},{p.instant},{fraction_text(p.prob)}).")
 
     return tuple(clauses)
 

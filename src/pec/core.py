@@ -488,9 +488,12 @@ def int_text(n: int) -> str:
 
 
 def fraction_text(value: Fraction) -> str:
-    """``str(value)`` at any length, by ``int_text``."""
-    text = int_text(value.numerator)
-    return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
+    """``str(value)`` at any length: past the digit limit, by ``int_text``."""
+    try:
+        return str(value)
+    except ValueError:
+        text = int_text(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{int_text(value.denominator)}"
 
 
 def format_decimal(value: Fraction, digits: int = 6) -> str:

@@ -42,7 +42,7 @@ from .core import (_NO_VALUE, And, ConcurrentActivation, ConditionZero, DomainSi
                    IFormula, Lit, Outcome, PecError, Record, SignatureError, TRUE, _window,
                    eval_formula, fold, fraction_text, herbrand_entails, outcomes_weight,
                    progression, replace, satisfies, update)
-from .syntax import CProp, DomainDescription, HProposition
+from .syntax import CProp, DomainDescription, HProposition, PProp, _literal_problem
 
 # node tuples whose verdict one sample_frequency call keeps: a query over
 # many instants can draw a new tuple nearly every sample
@@ -153,10 +153,25 @@ def activated_cprop(dd: DomainDescription, state: Mapping[str, str],
 
 
 def narrative_eval(dd: DomainDescription, world: FiniteWorld) -> Fraction:
-    """Product over occurrence statements of P if performed in the world,
-    else 1-P; 1 for the empty narrative."""
-    return math.prod((p.prob if world.states[p.instant][p.action] == TRUE else 1 - p.prob
-                      for p in dd.pprops), start=Fraction(1))
+    """Product over the occurrences (checked by ``_occurrences``) of P if
+    performed in the world, else 1-P; 1 for the empty narrative."""
+    return math.prod((p.prob if world.states[i][a] == TRUE else 1 - p.prob for i, here
+                      in _occurrences(dd).items() for a, p in here.items()), start=Fraction(1))
+
+
+def _occurrences(dd: DomainDescription) -> dict[int, dict[str, PProp]]:
+    """The narrative as instant -> action -> occurrence, refused in the
+    validator's words where it would refuse it (bar an occurrence at ``maxinst``)."""
+    sig, occurring = dd.signature, defaultdict(dict)
+    for p in dd.pprops:
+        if p.action not in sig.actions:
+            raise SignatureError(f"unknown action {p.action}")
+        if p.action in (here := occurring[_window(p.instant, sig.maxinst)]):
+            raise PecError(f"duplicate occurrence of {p.action} at instant {p.instant}")
+        if not 0 < p.prob.numerator <= p.prob.denominator:
+            raise PecError(f"occurrence probability {fraction_text(p.prob)} outside (0,1]")
+        here[p.action] = p
+    return occurring
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +254,11 @@ class _Table:
     ``stops`` merges a walker's instants into: their instants and ``maxinst``
     in order, the only instants where a rule can fire when every rule body
     entails an action, else ``range(maxinst + 1)``; ``queries`` the compiled
-    form of the first ``_QUERIES`` queries asked.  It refuses a narrative the
-    validator would (bar an occurrence at ``maxinst``), is kept on its domain
-    and reads a copy.  Ids are assigned under a lock and every other entry is
-    published by one store, so calls may share a table."""
+    form of the first ``_QUERIES`` queries asked.  It refuses, in the
+    validator's words, an outcome off the signature, an initial one that
+    leaves a fluent out and a narrative ``_occurrences`` refuses; it is kept
+    on its domain and reads a copy.  Ids are assigned under a lock and every
+    other entry is published by one store, so calls may share a table."""
 
     def __init__(self, dd: DomainDescription):
         sig, self.rules, self.lock = dd.signature, dd, allocate_lock()
@@ -252,19 +268,16 @@ class _Table:
                                 for o in c.head))
         self.ids, self.fluents, self.nodes = {}, [], []
         self.queries = {}  # phi -> compiled form
+        problems = [f"initial outcome must assign every fluent (missing {', '.join(sorted(m))})"
+                    for o in dd.iprop.head if (m := set(sig.fluents).difference(o.effect))]
+        problems += [_literal_problem(s, v, sig.vals, self.bits, effect=True)
+                     for c in (dd.iprop, *dd.cprops) for o in c.head for s, v in o.effect.items()]
+        if any(problems):  # the validator's checks of every outcome, in its words
+            raise SignatureError(next(filter(None, problems)))
         self.initial = self.targets({}, dd.iprop.head)
-        occurring = defaultdict(dict)  # instant -> action -> its occurrence
-        for p in dd.pprops:  # the validator's checks, but maxinst is an instant like any
-            if p.action not in self.bits:
-                raise SignatureError(f"unknown action {p.action}")
-            if p.action in (here := occurring[_window(p.instant, sig.maxinst)]):
-                raise PecError(f"duplicate occurrence of {p.action} at instant {p.instant}")
-            if not 0 < p.prob.numerator <= p.prob.denominator:
-                raise PecError(f"occurrence probability {fraction_text(p.prob)} outside (0,1]")
-            here[p.action] = p
         self.none, self.patterns = ((0, 1),), {}  # the pattern list of no occurrence
         lists = {self.none: self.none}  # equal pattern lists are one tuple
-        for i, ps in occurring.items():
+        for i, ps in _occurrences(dd).items():
             ps = tuple([(masks.get(i, 0), num)
                         for masks, num, _ in _narratives(self.bits, ps.values())])
             self.patterns[i] = lists.setdefault(ps, ps)
@@ -346,13 +359,13 @@ def check_world(dd: DomainDescription, world: FiniteWorld) -> WorldReport:
     sig = dd.signature
     states = world.states
 
-    licensed = {(p.action, p.instant) for p in dd.pprops}
+    occurring = _occurrences(dd)
     cwa = all(
-        states[i][a] != TRUE or (a, i) in licensed
+        states[i][a] != TRUE or a in occurring.get(i, ())
         for i in sig.instants for a in sig.actions
     ) and all(
-        states[p.instant][p.action] == TRUE
-        for p in dd.pprops if p.prob == 1
+        states[i][a] == TRUE
+        for i, here in occurring.items() for a, p in here.items() if p.prob == 1
     )
 
     fluents = [sig.fluent_part(s) for s in states]

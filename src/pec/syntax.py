@@ -69,6 +69,7 @@ from .core import (
     at_instant,
     conjunct_atoms,
     fold,
+    fraction_text,
     herbrand_entails,
     int_text,
     open_branches,
@@ -141,6 +142,10 @@ class PProp(Record):
     action: str
     instant: int
     prob: Fraction
+
+    def __post_init__(self):  # anything Fraction accepts, stored as Outcome stores its weight
+        if type(prob := self.prob) is not Fraction:
+            object.__setattr__(self, "prob", Fraction(prob))
 
 
 class HProposition(Record):
@@ -647,7 +652,7 @@ def _fmt_outcomes(head: Iterable[Outcome]) -> str:
     parts = []
     for o in head:
         lits = ", ".join(_literal_text(s, v) for s, v in o.effect.items())
-        parts.append(f"({{{lits}}}, {o.weight})")
+        parts.append(f"({{{lits}}}, {fraction_text(o.weight)})")
     return "{" + ", ".join(parts) + "}"
 
 
@@ -655,8 +660,8 @@ def render(dd: DomainDescription) -> str:
     """Pretty-print a domain so that parse_domain(render(dd)) == dd."""
     sig = dd.signature
     lines = [f"maxinst {sig.maxinst}", ""]
-    for v in dd.vprops:
-        lines.append(f"fluent {v.fluent} takes-values {{{', '.join(v.values)}}}")
+    for f in sig.fluents:
+        lines.append(f"fluent {f} takes-values {{{', '.join(sig.vals[f])}}}")
     for a in sig.actions:
         lines.append(f"action {a}")
     lines.append("")
@@ -667,6 +672,6 @@ def render(dd: DomainDescription) -> str:
     if dd.pprops:
         lines.append("")
     for p in dd.pprops:
-        suffix = "" if p.prob == 1 else f" with-prob {p.prob}"
+        suffix = "" if p.prob == 1 else f" with-prob {fraction_text(p.prob)}"
         lines.append(f"{p.action} performed-at {p.instant}{suffix}")
     return "\n".join(lines) + "\n"

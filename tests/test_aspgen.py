@@ -4,20 +4,26 @@ import gc
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from pec import (
     And,
+    CProp,
     DomainSignature,
     Lit,
     Not,
     Or,
+    Outcome,
     TRUE,
     TranslationError,
+    VProp,
     domain_independent,
     emit,
     parse_domain,
+    render,
+    replace,
     to_dnf,
     translate,
 )
@@ -153,8 +159,9 @@ class TestTranslate:
         dd = parse_domain(
             "maxinst 2\nfluent Coin takes-values {a, b}\naction coin\n"
             "initially-one-of {({Coin=a}, 1)}\n")
-        with pytest.raises(TranslationError):
+        with pytest.raises(TranslationError) as err:
             translate(dd)
+        assert str(err.value) == "coin and Coin collide as coin"
 
     def test_value_collision(self):
         dd = parse_domain("maxinst 2\nfluent F takes-values {a, A}\n"
@@ -171,6 +178,29 @@ class TestTranslate:
         clauses = translate(dd)
         assert "belongsTo((f,b), id_1_1)." in clauses
         assert not any(c.startswith("causesOutcome") for c in clauses)
+
+    def test_values_come_from_the_signature(self, coin):
+        # an API-built domain whose signature widens a fluent: the program
+        # declares what the engine reasons over
+        vals = {"Coin": ("Heads", "Tails", "Edge")}
+        wide = replace(coin, signature=replace(coin.signature, vals=vals))
+        assert [c for c in translate(wide) if c.startswith("possVal")] == [
+            "possVal(coin, heads).", "possVal(coin, tails).", "possVal(coin, edge)."]
+
+    def test_vprops_are_not_read(self, coin):
+        dd = replace(coin, vprops=(VProp("Coin", ("Heads", "Tails", "Edge")),))
+        assert emit(dd, with_axioms=True) == emit(coin, with_axioms=True)
+        assert render(dd) == render(coin)
+
+    def test_a_weight_past_the_digit_limit_prints(self, coin):
+        tiny = Fraction(1, 10**5000)
+        rule = CProp(coin.cprops[0].body, (Outcome({"Coin": "Heads"}, tiny),
+                                           Outcome({}, 1 - tiny)))
+        dd = replace(coin, cprops=(rule,))
+        assert (f"causesOutcome((id_1_1, {core.fraction_text(tiny)}), I) :- "
+                "holds(((toss,true), I)).") in emit(dd).splitlines()
+        assert (f"Toss causes-one-of {{({{Coin=Heads}}, {core.fraction_text(tiny)}), "
+                f"({{}}, {core.fraction_text(1 - tiny)})}}") in render(dd).splitlines()
 
     def test_actionless_domain(self):
         dd = parse_domain("maxinst 1\nfluent F takes-values {a, b}\n"

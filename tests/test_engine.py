@@ -815,9 +815,10 @@ class TestQueries:
         with pytest.raises(RangeError, match="instant 4 outside"):
             marginal(coin, And(unknown, late))
 
-    # what the validator refuses in a parsed narrative every walker refuses
-    # in an API-built one, and stores no table; maxinst, which no parsed
-    # occurrence can name, is an instant like any other (see late_pool)
+    # what the validator refuses in a parsed narrative every walker,
+    # narrative_eval and check_world refuse in an API-built one, and no table
+    # is stored; maxinst, which no parsed occurrence can name, is an instant
+    # like any other (see late_pool)
     @pytest.mark.parametrize("extra,error,message", [
         ((PProp("Nope", 1, Fraction(1)),), SignatureError, "unknown action Nope"),
         ((PProp("Toss", -1, Fraction(1)),), RangeError, "instant -1 outside the window 0..3"),
@@ -831,17 +832,48 @@ class TestQueries:
         ((PProp("Toss", 2, Fraction(0)),), PecError, "occurrence probability 0 outside (0,1]"),
     ], ids=["action", "before", "after", "twice", "again", "above", "zero"])
     def test_a_narrative_off_the_schedule_is_refused(self, coin, extra, error, message):
-        phi, psi = ILit("Coin", "Heads", 3), ILit("Toss", TRUE, 1)
-        walkers = [lambda d: marginal(d, phi), lambda d: conditional(d, phi, psi),
-                   enumerate_worlds, lambda d: sample_frequency(d, phi, 10, 1),
-                   lambda d: sample_world(d, 1), transition_graph]
-        warm = replace(coin, pprops=coin.pprops + extra)  # met by each walker after the last
-        for walker in walkers:
-            for dd in (replace(coin, pprops=coin.pprops + extra), warm):
-                with pytest.raises(PecError) as err:
-                    walker(dd)
-                assert (type(err.value), str(err.value)) == (error, message)
-                assert "_table" not in vars(dd)
+        world = enumerate_worlds(coin)[0].world
+        _assert_refused([lambda d: narrative_eval(d, world), lambda d: check_world(d, world)],
+                        lambda: replace(coin, pprops=coin.pprops + extra), error, message)
+
+    # an outcome the validator would refuse in a parsed head is refused, in
+    # its words, when a table is built
+    @pytest.mark.parametrize("initial,head,message", [
+        ({}, None, "initial outcome must assign every fluent (missing Coin)"),
+        ({"Coin": "Heads"}, {"Nope": "x"}, "unknown symbol Nope"),
+        ({"Coin": "Heads"}, {"Coin": "Edge"}, "Edge is not a possible value of Coin"),
+        ({"Coin": "Edge"}, None, "Edge is not a possible value of Coin"),
+        ({"Coin": "Heads"}, {"Toss": TRUE},
+         "Toss is an action, not a fluent; effects may only mention fluents"),
+    ], ids=["unassigned", "symbol", "value", "initial-value", "action"])
+    def test_an_outcome_off_the_signature_is_refused(self, coin, initial, head, message):
+        cprops = (CProp(coin.cprops[0].body, (Outcome(head, 1),)),) if head else coin.cprops
+        _assert_refused([], lambda: replace(coin, iprop=IProp((Outcome(initial, 1),)),
+                                            cprops=cprops), SignatureError, message)
+
+    @pytest.mark.parametrize("prob", [0.5, "1/2"])
+    def test_an_occurrence_probability_is_stored_as_a_fraction(self, coin, prob):
+        phi = ILit("Coin", "Heads", 2)
+        dd, exact = (replace(coin, pprops=(PProp("Toss", 1, p),)) for p in (prob, Fraction(1, 2)))
+        assert dd.pprops == exact.pprops and type(dd.pprops[0].prob) is Fraction
+        assert marginal(dd, phi) == marginal(exact, phi) == Fraction(151, 200)
+
+
+def _assert_refused(others, build, error, message):
+    """Every walker, ``transition_graph`` and ``others`` raise ``error`` with
+    ``message`` on a cold domain from ``build`` and on one domain that each
+    meets after the last, and no table is stored."""
+    phi, psi = ILit("Coin", "Heads", 3), ILit("Toss", TRUE, 1)
+    walkers = [lambda d: marginal(d, phi), lambda d: conditional(d, phi, psi),
+               enumerate_worlds, lambda d: sample_frequency(d, phi, 10, 1),
+               lambda d: sample_world(d, 1), transition_graph, *others]
+    warm = build()
+    for walker in walkers:
+        for dd in (build(), warm):
+            with pytest.raises(PecError) as err:
+                walker(dd)
+            assert (type(err.value), str(err.value)) == (error, message)
+            assert "_table" not in vars(dd)
 
 
 class TestTransitions:
